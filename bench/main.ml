@@ -299,8 +299,9 @@ let liveness () =
 
 (* ------------------------------------------------------------------ *)
 (* flight-recorder overhead: the mixed workload with recording off vs on.
-   "off" is the shipping default — the only instrumentation on that path
-   is a hook-installed check per Memory.apply. *)
+   The recorder is a window over the execution's own log, so "on" adds
+   no per-step work — only attaching the log and filling the run
+   context (names, history, metadata). *)
 
 let flight_overhead ~iters ~seed () =
   let cfg =

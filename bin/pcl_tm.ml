@@ -310,7 +310,9 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
            core is the provenance to attach *)
         let weakest = List.nth Checkers.all (List.length Checkers.all - 1) in
         (match
-           Provenance.of_unsat ~log:r.Sim.log weakest r.Sim.history
+           Provenance.of_unsat
+             ~log:(Access_log.entries r.Sim.log)
+             weakest r.Sim.history
          with
         | Some p -> Flight.add_verdict fl (Provenance.to_flight p)
         | None -> ());
@@ -331,7 +333,7 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
     if lint then begin
       let input =
         {
-          Lint.log = r.Sim.log;
+          Lint.log = Access_log.entries r.Sim.log;
           history = r.Sim.history;
           name_of = Memory.name_of r.Sim.mem;
           data_sets = Some Explore_sweep.data_sets;
@@ -517,10 +519,8 @@ let trace_cmd =
       (String.concat ", " (Checkers.satisfied r.Pcl_harness.sim.Sim.history));
     if show_log then begin
       let name_of oid = Memory.name_of r.Pcl_harness.sim.Sim.mem oid in
-      List.iter
-        (fun e ->
+      Access_log.iter r.Pcl_harness.sim.Sim.log ~f:(fun e ->
           Format.printf "%a@." (Access_log.pp_entry ~name_of) e)
-        r.Pcl_harness.sim.Sim.log
     end;
     match r.Pcl_harness.sim.Sim.report.Schedule.stop with
     | Schedule.Budget_exhausted { stalled_pid; last } ->
@@ -700,17 +700,15 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
                      common base object";
                   witness_txns = tids;
                   witness_steps =
-                    List.filter_map
-                      (fun (e : Access_log.entry) ->
-                        match e.Access_log.tid with
-                        | Some t
-                          when List.exists (Tid.equal t) tids
-                               && List.exists
-                                    (Oid.equal e.Access_log.oid)
-                                    v.Strict_dap.objects ->
-                            Some e.Access_log.index
-                        | _ -> None)
-                      r.Sim.log;
+                    List.filter
+                      (fun i ->
+                        List.exists
+                          (Tid.equal (Access_log.tid_int_at r.Sim.log i))
+                          tids
+                        && List.exists
+                             (Oid.equal (Access_log.oid_at r.Sim.log i))
+                             v.Strict_dap.objects)
+                      (List.init (Access_log.length r.Sim.log) Fun.id);
                 })
             vs
     end;
@@ -718,8 +716,9 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
     | Spec.Unsat -> (
         incr cons_bad;
         match
-          Provenance.of_unsat ~budget:400_000 ~log:r.Sim.log target_checker
-            r.Sim.history
+          Provenance.of_unsat ~budget:400_000
+            ~log:(Access_log.entries r.Sim.log)
+            target_checker r.Sim.history
         with
         | Some p -> add (Provenance.to_flight p)
         | None -> ())
@@ -727,7 +726,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
     if lint then begin
       let input =
         {
-          Lint.log = r.Sim.log;
+          Lint.log = Access_log.entries r.Sim.log;
           history = r.Sim.history;
           name_of = Memory.name_of r.Sim.mem;
           data_sets = Some (Static_txn.data_sets specs);
@@ -987,7 +986,7 @@ let explain_cmd =
           (List.length (Flight.steps fl))
           (Flight.dropped fl);
         (* stall attribution: the stop meta names the wedged process and
-           the index of its last step; resolve it in the ring if it was
+           the index of its last step; resolve it in the window if it was
            retained *)
         (match Option.bind (Flight.meta_value fl "stop") stall_of_stop with
         | Some (pid, None) ->

@@ -37,12 +37,12 @@ let audit impl name specs schedule =
   let (module M : Tm_intf.S) = impl in
   let r = run impl specs schedule in
   let data_sets = Static_txn.data_sets specs in
-  let contentions = Contention.all_contentions r.Sim.log in
+  let contentions = Contention.all_contentions_log r.Sim.log in
   let strict = Strict_dap.violations ~data_sets r.Sim.log in
   let graph = Graph_dap.violations ~data_sets r.Sim.log in
   let name_of oid = Memory.name_of r.Sim.mem oid in
   Format.printf "  %-10s steps=%-4d contentions=%d strictDAP=%s graphDAP=%s@."
-    name (List.length r.Sim.log) (List.length contentions)
+    name (Access_log.length r.Sim.log) (List.length contentions)
     (if strict = [] then "ok" else "VIOLATED")
     (if graph = [] then "ok" else "VIOLATED");
   List.iter

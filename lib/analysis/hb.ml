@@ -46,8 +46,9 @@ let is_sync : Primitive.t -> bool = function
   | Primitive.Store_conditional _ ->
       true
 
-let analyse_core ?history ~(len : int) ~(get : int -> Access_log.entry) () :
-    t =
+let analyse ?history (log : Access_log.entry list) : t =
+  let items = Array.of_list log in
+  let len = Array.length items in
   let pid_clock : (int, Vclock.t) Hashtbl.t = Hashtbl.create 8 in
   let obj_clock : (Oid.t, Vclock.t) Hashtbl.t = Hashtbl.create 64 in
   let tid_clock : (Tid.t, Vclock.t) Hashtbl.t = Hashtbl.create 8 in
@@ -111,7 +112,7 @@ let analyse_core ?history ~(len : int) ~(get : int -> Access_log.entry) () :
   let by_index = Hashtbl.create (max 16 len) in
   let arr =
     Array.init len (fun pos ->
-        let e = get pos in
+        let e = items.(pos) in
         let before = clock_of pid_clock e.Access_log.pid in
         let before =
           match e.Access_log.tid with
@@ -140,16 +141,6 @@ let analyse_core ?history ~(len : int) ~(get : int -> Access_log.entry) () :
         { pos; entry = e; before; after; sync })
   in
   { arr; by_index; final = pid_clock }
-
-let analyse ?history (log : Access_log.entry list) : t =
-  let items = Array.of_list log in
-  analyse_core ?history ~len:(Array.length items) ~get:(Array.get items) ()
-
-(** [analyse] over the log structure itself: steps are fetched by index
-    from the flat columns, no entry list is rescanned. *)
-let analyse_log ?history (log : Access_log.t) : t =
-  analyse_core ?history ~len:(Access_log.length log)
-    ~get:(Access_log.get log) ()
 
 let steps t = Array.to_list t.arr
 let length t = Array.length t.arr

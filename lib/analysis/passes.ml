@@ -299,7 +299,12 @@ let of_stall_run (cfg : config) (i : input) : finding list =
                only under step contention"
               (Tid.name v.Obstruction_freedom.tid) lo hi;
         })
-      (Obstruction_freedom.violations i.history i.log)
+      (* the trace may be a flight window: its first step carries the
+         global index the rebuilt log's position 0 stands for *)
+      (Obstruction_freedom.violations
+         ~base:(match i.log with e :: _ -> e.Access_log.index | [] -> 0)
+         i.history
+         (Access_log.of_entries i.log))
   in
   cap cfg (List.rev !findings @ uncontended_aborts)
 

@@ -10,9 +10,13 @@
    Three incremental index rings are threaded through the columns at
    record time, linked-list-in-arrays style: each step stores the index
    of the previous step by the same process / on the same object / of the
-   same transaction, with O(1) heads on the side.  [by_pid], [by_txn],
-   [objects_of_txn] and the DAP/HB/cost engines walk these chains in
-   O(answer) instead of re-filtering the whole log per query. *)
+   same transaction, with O(1) heads on the side.  [objects_of_txn] and
+   the DAP/cost engines walk these chains in O(answer) instead of
+   re-filtering the whole log per query.
+
+   [freeze] makes a read-only view of the steps recorded so far: the
+   columns are append-only, so the view shares them and copies only the
+   ring heads. *)
 
 type entry = {
   index : int;  (** global step number, 0-based *)
@@ -40,6 +44,7 @@ type t = {
   mutable oid_last : int array;  (* oid -> last step index, -1 *)
   tid_last : (int, int) Hashtbl.t;  (* tid -> last step index *)
   mutable count : int;
+  frozen : bool;  (* a [freeze] view: shares columns, never records *)
 }
 
 let create () =
@@ -57,6 +62,17 @@ let create () =
     oid_last = [||];
     tid_last = Hashtbl.create 16;
     count = 0;
+    frozen = false;
+  }
+
+let freeze t =
+  {
+    t with
+    pid_last = Array.copy t.pid_last;
+    pid_count = Array.copy t.pid_count;
+    oid_last = Array.copy t.oid_last;
+    tid_last = Hashtbl.copy t.tid_last;
+    frozen = true;
   }
 
 (* Grow a head array so index [i] is addressable; fresh slots read [fill]. *)
@@ -74,6 +90,7 @@ let length t = t.count
 
 let record t ~pid ~tid ~oid ~prim ~response ~changed =
   if pid < 0 then invalid_arg "Access_log.record: negative pid";
+  if t.frozen then invalid_arg "Access_log.record: frozen log";
   let i = t.count in
   Intvec.push t.pcs ((pid lsl 1) lor Bool.to_int changed);
   let tc = match tid with None -> -1 | Some tid -> Tid.to_int tid in
@@ -162,6 +179,10 @@ let last_index_on_oid t (oid : Oid.t) =
 let last_index_of_txn t (tid : Tid.t) =
   try Hashtbl.find t.tid_last (Tid.to_int tid) with Not_found -> -1
 
+let txns t =
+  Hashtbl.fold (fun tc _ acc -> Tid.v tc :: acc) t.tid_last []
+  |> List.sort Tid.compare
+
 (* Unchecked entry materialization for internal iteration. *)
 let unsafe_get t i =
   let pc = Intvec.unsafe_get t.pcs i in
@@ -185,45 +206,10 @@ let iter t ~f =
     f (unsafe_get t i)
   done
 
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.count - 1 do
-    acc := f !acc (unsafe_get t i)
-  done;
-  !acc
-
-let to_seq t =
-  let rec aux i () =
-    if i >= t.count then Seq.Nil else Seq.Cons (unsafe_get t i, aux (i + 1))
-  in
-  aux 0
-
-let sub t ~pos ~len =
-  if pos < 0 || len < 0 || pos > t.count - len then
-    invalid_arg
-      (Printf.sprintf "Access_log.sub: pos %d len %d out of bounds (length %d)"
-         pos len t.count);
-  let rec go i acc = if i < pos then acc else go (i - 1) (unsafe_get t i :: acc) in
-  go (pos + len - 1) []
-
-(* Compatibility views: materialize entry lists in step order. *)
-
+(* The one list materializer, in step order. *)
 let entries t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (unsafe_get t i :: acc) in
   go (t.count - 1) []
-
-(* Walking a prev-chain visits indices in descending order; consing onto
-   the accumulator restores step order. *)
-let chain_entries t prev head =
-  let rec go i acc =
-    if i < 0 then acc else go (Intvec.unsafe_get prev i) (unsafe_get t i :: acc)
-  in
-  go head []
-
-(** Steps attributed to transaction [tid] — the paper's [alpha|T]. *)
-let by_txn t tid = chain_entries t t.prev_tid (last_index_of_txn t tid)
-
-let by_pid t pid = chain_entries t t.prev_pid (last_index_by_pid t pid)
 
 (** Most recent step taken by process [pid], if any — O(1) via the
     per-process ring head.  Used to attribute a budget-exhausted stall to

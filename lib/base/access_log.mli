@@ -6,9 +6,9 @@
     Backed by chunked struct-of-arrays columns (appending never copies,
     ~one word per field per step) with three incremental index rings —
     per-process, per-object, per-transaction — threaded through the
-    columns at record time.  {!entries}, {!by_txn} and {!by_pid} remain
-    as compatibility views; new code should use the per-field reads,
-    {!iter}/{!fold}/{!get}/{!sub}, or walk the rings directly. *)
+    columns at record time.  Readers use the per-field reads,
+    {!iter}/{!get}, or walk the rings directly; {!entries} is the
+    one list materializer. *)
 
 type entry = {
   index : int;  (** global step number, 0-based *)
@@ -40,6 +40,13 @@ val record :
 
 val length : t -> int
 
+val freeze : t -> t
+(** A read-only view of the steps recorded so far: steps recorded into
+    the original later are not seen by the view.  Shares the
+    append-only columns and copies only the ring heads, so the cost is
+    in the number of processes, objects and transactions, not steps.
+    @raise Invalid_argument when {!record} is applied to the view. *)
+
 (** {2 Random access}
 
     All indexed reads check bounds and raise [Invalid_argument] outside
@@ -63,16 +70,6 @@ val changed_at : t -> int -> bool
 (** {2 Iteration without list materialization} *)
 
 val iter : t -> f:(entry -> unit) -> unit
-val fold : t -> init:'a -> f:('a -> entry -> 'a) -> 'a
-
-val to_seq : t -> entry Seq.t
-(** Ephemeral: the sequence reads through to the live log, so steps
-    recorded after a node is forced appear past it. *)
-
-val sub : t -> pos:int -> len:int -> entry list
-(** The [len] entries starting at [pos], in step order.
-    @raise Invalid_argument unless [0 <= pos], [0 <= len] and
-    [pos + len <= length]. *)
 
 (** {2 Index rings}
 
@@ -86,6 +83,9 @@ val last_index_by_pid : t -> int -> int
 val last_index_on_oid : t -> Oid.t -> int
 val last_index_of_txn : t -> Tid.t -> int
 
+val txns : t -> Tid.t list
+(** The transactions with at least one attributed step, ascending. *)
+
 val prev_same_pid : t -> int -> int
 (** Index of the previous step by the same process, -1 at chain front. *)
 
@@ -95,27 +95,19 @@ val prev_same_txn : t -> int -> int
 val pid_step_count : t -> int -> int
 (** Steps taken by a process so far; O(1). *)
 
-(** {2 Compatibility views} *)
-
 val entries : t -> entry list
-(** In step order. *)
-
-val by_txn : t -> Tid.t -> entry list
-(** Steps attributed to a transaction — the paper's alpha|T.  O(answer)
-    via the per-transaction ring. *)
-
-val by_pid : t -> int -> entry list
-(** O(answer) via the per-process ring. *)
+(** Every step as an entry record, in step order. *)
 
 val last_by_pid : t -> int -> entry option
 (** Most recent step taken by a process, if any; O(1). *)
 
 val objects_of_txn : t -> Tid.t -> bool Oid.Map.t
 (** Base objects accessed by a transaction, mapped to whether it applied
-    at least one non-trivial primitive to them. *)
+    at least one non-trivial primitive to them: the transaction's
+    footprint, walked off its ring in O(its steps). *)
 
 val of_entries : entry list -> t
-(** Rebuild a log (and its index rings) from a recorded entry list, e.g.
+(** Rebuild a log (and its index rings) from recorded entries, e.g.
     a parsed flight artifact.  Entries are re-indexed in list order. *)
 
 val pp_entry :

@@ -54,14 +54,6 @@ val set_hook : t -> (Access_log.t -> int -> unit) -> unit
 
 val clear_hook : t -> unit
 
-val set_flight_hook : t -> (Access_log.t -> int -> unit) -> unit
-(** Install the flight-recorder step hook (replacing any previous one).
-    A second, independent slot so step recording composes with the TM
-    telemetry hook instead of replacing it; when unset the cost is one
-    [None] match per step. *)
-
-val clear_flight_hook : t -> unit
-
 val set_fault_hook : t -> fault_hook -> unit
 (** Install the fault-injection hook (replacing any previous one).  It is
     consulted before each primitive is applied, with the step index the

@@ -9,40 +9,13 @@ type access_summary = {
   objects : bool Oid.Map.t;  (** oid -> applied a non-trivial primitive? *)
 }
 
-(* The per-transaction (Tid, Oid) footprint is accumulated into a map, so
-   repeated accesses to the same object collapse into one pair; the final
-   summaries are sorted by [Tid.compare] so callers (and lint witnesses)
-   see the same order on every run regardless of hash-table iteration. *)
-let add_access (tbl : (Tid.t, bool Oid.Map.t) Hashtbl.t) tid oid prim =
-  let m = Option.value ~default:Oid.Map.empty (Hashtbl.find_opt tbl tid) in
-  let prev = Option.value ~default:false (Oid.Map.find_opt oid m) in
-  Hashtbl.replace tbl tid (Oid.Map.add oid (prev || Primitive.non_trivial prim) m)
-
-let summaries_of (tbl : (Tid.t, bool Oid.Map.t) Hashtbl.t) =
-  Hashtbl.fold (fun tid objects acc -> { tid; objects } :: acc) tbl []
-  |> List.sort (fun s1 s2 -> Tid.compare s1.tid s2.tid)
-
-let summarize (log : Access_log.entry list) : access_summary list =
-  let tbl : (Tid.t, bool Oid.Map.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Access_log.entry) ->
-      match e.tid with
-      | None -> ()
-      | Some tid -> add_access tbl tid e.oid e.prim)
-    log;
-  summaries_of tbl
-
-(** Same footprint summary straight off the flat log columns: an index
-    walk with no entry records or list materialized. *)
-let summarize_log (log : Access_log.t) : access_summary list =
-  let tbl : (Tid.t, bool Oid.Map.t) Hashtbl.t = Hashtbl.create 16 in
-  for i = 0 to Access_log.length log - 1 do
-    let ti = Access_log.tid_int_at log i in
-    if ti >= 0 then
-      add_access tbl (Tid.v ti) (Access_log.oid_at log i)
-        (Access_log.prim_at log i)
-  done;
-  summaries_of tbl
+(* Per-transaction footprints, each walked off the transaction's ring in
+   the log; sorted by [Tid.compare] so callers (and lint witnesses) see
+   the same order on every run. *)
+let summarize (log : Access_log.t) : access_summary list =
+  List.map
+    (fun tid -> { tid; objects = Access_log.objects_of_txn log tid })
+    (Access_log.txns log)
 
 (** Objects on which two transactions contend in the log, sorted by
     [Oid.compare] and deduplicated, so contention witnesses are stable
@@ -77,10 +50,5 @@ let contentions_of (summaries : access_summary list) : contention list =
   in
   List.rev (go [] summaries)
 
-let all_contentions (log : Access_log.entry list) : contention list =
-  contentions_of (summarize log)
-
-(** [all_contentions] over the log structure itself (index walk, no
-    entry-list rescan). *)
 let all_contentions_log (log : Access_log.t) : contention list =
-  contentions_of (summarize_log log)
+  contentions_of (summarize log)

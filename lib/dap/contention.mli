@@ -4,28 +4,14 @@
 
 open Tm_base
 
-type access_summary = {
-  tid : Tid.t;
-  objects : bool Oid.Map.t;  (** oid -> applied a non-trivial primitive? *)
+type contention = {
+  t1 : Tid.t;
+  t2 : Tid.t;
+  objects : Oid.t list;  (** sorted by [Oid.compare], duplicate-free *)
 }
 
-val summarize : Access_log.entry list -> access_summary list
-(** Per-transaction footprints, sorted by [Tid.compare]; repeated
-    [(Tid, Oid)] accesses collapse into one map entry, so the output is
-    duplicate-free and deterministic across runs. *)
-
-val summarize_log : Access_log.t -> access_summary list
-(** [summarize] straight off the flat log columns: an index walk, no
-    entry records or list materialized. *)
-
-val contended_objects : access_summary -> access_summary -> Oid.t list
-(** Sorted by [Oid.compare], duplicate-free — stable lint witnesses. *)
-
-type contention = { t1 : Tid.t; t2 : Tid.t; objects : Oid.t list }
-
-val all_contentions : Access_log.entry list -> contention list
-(** Every contending pair of transactions in the log, ordered by
-    [(t1, t2)] with [t1 < t2]. *)
-
 val all_contentions_log : Access_log.t -> contention list
-(** [all_contentions] over the log structure itself. *)
+(** Every contending pair of transactions in the log, ordered by
+    [(t1, t2)] with [t1 < t2].  Each transaction's footprint is walked off
+    its ring ({!Access_log.objects_of_txn}); repeated [(Tid, Oid)] accesses
+    collapse, so the output is deterministic across runs. *)

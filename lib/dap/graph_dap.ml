@@ -21,19 +21,15 @@ type violation = {
     containing any two of them is the whole execution, so this is the most
     permissive (hardest to violate) reading. *)
 let violations ?(d = max_int) ~(data_sets : Conflict.data_sets)
-    (log : Access_log.entry list) : violation list =
-  let tids =
-    List.sort_uniq compare
-      (List.filter_map (fun (e : Access_log.entry) -> e.tid) log)
-  in
-  let g = Conflict.graph data_sets tids in
+    (log : Access_log.t) : violation list =
+  let g = Conflict.graph data_sets (Access_log.txns log) in
   List.filter_map
     (fun (c : Contention.contention) ->
       let dist = Conflict.distance g c.t1 c.t2 in
       match dist with
       | Some n when n <= d -> None
       | _ -> Some { t1 = c.t1; t2 = c.t2; objects = c.objects; distance = dist })
-    (Contention.all_contentions log)
+    (Contention.all_contentions_log log)
 
 let holds ?d ~data_sets log =
   let ok =

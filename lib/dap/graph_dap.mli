@@ -16,8 +16,7 @@ type violation = {
 val violations :
   ?d:int ->
   data_sets:Conflict.data_sets ->
-  Access_log.entry list ->
+  Access_log.t ->
   violation list
 
-val holds :
-  ?d:int -> data_sets:Conflict.data_sets -> Access_log.entry list -> bool
+val holds : ?d:int -> data_sets:Conflict.data_sets -> Access_log.t -> bool

@@ -20,19 +20,14 @@ let pp_violation ppf (v : violation) =
   Fmt.pf ppf "%s aborted without step contention (steps %d..%d)"
     (Tid.name v.tid) lo hi
 
-(** Steps attributed to [tid] in the log, as (first, last) global indices.
-    Falls back to event timestamps when the transaction took no shared
-    steps. *)
-let step_interval (h : History.t) (log : Access_log.entry list) tid :
+(* Steps attributed to [tid] in the log, as (first, last) global indices,
+   found by walking the transaction's ring back from its last step.
+   Falls back to event timestamps when the transaction took no shared
+   steps in the log. *)
+let step_interval ~base (h : History.t) (log : Access_log.t) tid :
     (int * int) option =
-  let steps =
-    List.filter_map
-      (fun (e : Access_log.entry) ->
-        if e.tid = Some tid then Some e.index else None)
-      log
-  in
-  match steps with
-  | [] ->
+  match Access_log.last_index_of_txn log tid with
+  | -1 ->
       (* no shared steps: use the event 'at' stamps (step counts at event
          time) as a degenerate interval *)
       Option.map
@@ -40,30 +35,31 @@ let step_interval (h : History.t) (log : Access_log.entry list) tid :
           let at i = Event.at (History.get h i) in
           (at f, at l))
         (History.positions_of_txn h tid)
-  | first :: _ ->
-      let last = List.fold_left max first steps in
-      Some (first, last)
+  | last ->
+      let rec first i =
+        match Access_log.prev_same_txn log i with -1 -> i | p -> first p
+      in
+      Some (base + first last, base + last)
 
-let violations (h : History.t) (log : Access_log.entry list) :
+let violations ?(base = 0) (h : History.t) (log : Access_log.t) :
     violation list =
   let aborted =
     List.filter (fun tid -> History.aborted h tid) (History.txns h)
   in
   List.filter_map
     (fun tid ->
-      match step_interval h log tid with
+      match step_interval ~base h log tid with
       | None -> None
       | Some (lo, hi) ->
           let pid =
             Option.value ~default:(-1) (History.pid_of_txn h tid)
           in
-          let contended =
-            List.exists
-              (fun (e : Access_log.entry) ->
-                e.index >= lo && e.index <= hi && e.pid <> pid)
-              log
+          let rec contended i =
+            i <= min (hi - base) (Access_log.length log - 1)
+            && (Access_log.pid_at log i <> pid || contended (i + 1))
           in
-          if contended then None else Some { tid; interval = (lo, hi) })
+          if contended (max 0 (lo - base)) then None
+          else Some { tid; interval = (lo, hi) })
     aborted
 
 let holds h log =

@@ -14,8 +14,10 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val step_interval :
-  History.t -> Access_log.entry list -> Tid.t -> (int * int) option
+val violations : ?base:int -> History.t -> Access_log.t -> violation list
+(** Every abort without step contention.  [base] (default 0) is the
+    global index of the log's first step, for a log that holds only the
+    tail of a longer execution (a wrapped flight window); intervals are
+    reported in global step indices. *)
 
-val violations : History.t -> Access_log.entry list -> violation list
-val holds : History.t -> Access_log.entry list -> bool
+val holds : History.t -> Access_log.t -> bool

@@ -20,12 +20,12 @@ let pp_violation ~name_of ppf (v : violation) =
 
 (** All strict-DAP violations of an execution. *)
 let violations ~(data_sets : Conflict.data_sets)
-    (log : Access_log.entry list) : violation list =
+    (log : Access_log.t) : violation list =
   List.filter_map
     (fun (c : Contention.contention) ->
       if Conflict.conflict data_sets c.t1 c.t2 then None
       else Some { t1 = c.t1; t2 = c.t2; objects = c.objects })
-    (Contention.all_contentions log)
+    (Contention.all_contentions_log log)
 
 let holds ~data_sets log =
   let ok =

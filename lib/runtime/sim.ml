@@ -27,7 +27,7 @@ type setup = Memory.t -> Recorder.t -> (int * (unit -> unit)) list
 type result = {
   mem : Memory.t;
   history : History.t;
-  log : Access_log.entry list;
+  log : Access_log.t;  (** frozen at snapshot time *)
   report : Schedule.report;
   finished : int -> bool;
   steps_of : int -> int;  (** steps taken by a pid over the whole run *)
@@ -84,12 +84,12 @@ let path_atoms (c : cursor) : Schedule.atom list =
   go (Intvec.length c.path - 1) []
 
 (* Build (or rebuild) the live world: fresh memory and recorder, the
-   global flight recorder reset and hooked in (one flight trace = one
-   execution, so a fork's re-materialization re-records its prefix and an
-   explorer callback always sees exactly the execution that just ran),
-   programs spawned, and the executed path fed back through a fresh
-   session.  Determinism makes the result bit-identical to the world the
-   cursor was forked from. *)
+   global flight recorder reset and attached to the new log (one flight
+   trace = one execution, so a fork's re-materialization re-attaches it to
+   the rebuilt log and an explorer callback always sees exactly the
+   execution that just ran), programs spawned, and the executed path fed
+   back through a fresh session.  Determinism makes the result
+   bit-identical to the world the cursor was forked from. *)
 let materialize (c : cursor) : live =
   match c.live with
   | Some l -> l
@@ -100,8 +100,7 @@ let materialize (c : cursor) : live =
       (match Flight.default () with
       | Some fl ->
           Flight.reset fl;
-          Memory.set_flight_hook mem (fun log i ->
-              Flight.record fl (Access_log.get log i))
+          Flight.attach fl (Memory.log mem)
       | None -> ());
       let programs = c.setup mem recorder in
       let sched = Scheduler.create mem in
@@ -196,16 +195,6 @@ let step (c : cursor) pid : bool =
 
 (* -- snapshots --------------------------------------------------------- *)
 
-let per_pid_steps log =
-  let per_pid = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let pid = e.Access_log.pid in
-      Hashtbl.replace per_pid pid
-        (1 + Option.value ~default:0 (Hashtbl.find_opt per_pid pid)))
-    log;
-  per_pid
-
 (** Package the cursor's current state as a {!result}.  With [flight]
     (the default), the installed flight recorder's run context is filled
     exactly as {!replay} fills it — names, history, schedule, budget,
@@ -219,8 +208,8 @@ let snapshot ?(flight = true) ?schedule (c : cursor) : result =
   let l = materialize c in
   let alog = Memory.log l.mem in
   let report = Schedule.session_report l.session in
-  let log = Access_log.entries alog in
-  let steps_of pid = Access_log.pid_step_count alog pid in
+  let log = Access_log.freeze alog in
+  let steps_of pid = Access_log.pid_step_count log pid in
   (if flight then
      match Flight.default () with
      | Some fl ->
@@ -277,14 +266,17 @@ let replay ?(budget = 100_000) (setup : setup) (atoms : Schedule.atom list)
           List.iter (fun a -> ignore (apply c a)) atoms;
           let r = snapshot ~schedule:atoms c in
           Tm_obs.Sink.observe "sim_replay_steps"
-            (float_of_int (List.length r.log));
+            (float_of_int (Access_log.length r.log));
           (* per-pid step attribution, from the authoritative log *)
-          Hashtbl.iter
-            (fun pid n ->
-              Tm_obs.Sink.add
-                ~labels:[ ("pid", string_of_int pid) ]
-                "sched_pid_steps_total" n)
-            (per_pid_steps r.log);
+          List.iter
+            (fun pid ->
+              match Access_log.pid_step_count r.log pid with
+              | 0 -> ()
+              | n ->
+                  Tm_obs.Sink.add
+                    ~labels:[ ("pid", string_of_int pid) ]
+                    "sched_pid_steps_total" n)
+            (Scheduler.pids l.sched);
           r))
 
 (** [solo_length setup pid] — number of steps [pid]'s program needs to run

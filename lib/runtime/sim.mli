@@ -21,7 +21,9 @@ type setup = Memory.t -> Recorder.t -> (int * (unit -> unit)) list
 type result = {
   mem : Memory.t;
   history : History.t;
-  log : Access_log.entry list;
+  log : Access_log.t;
+      (** the execution's steps, frozen when the result was taken: later
+          steps of the same cursor are not seen *)
   report : Schedule.report;
   finished : int -> bool;
   steps_of : int -> int;  (** steps taken by a pid over the whole run *)
@@ -35,9 +37,9 @@ type cursor
 
 val start : ?budget:int -> setup -> cursor
 (** A live cursor at C0 — memory and recorder created, the installed
-    flight recorder reset and hooked in, programs spawned, nothing
-    stepped.  [budget] (default 100_000) bounds each [Until_done] atom
-    fed later and is recorded in snapshot metadata. *)
+    flight recorder reset and attached to its log, programs spawned,
+    nothing stepped.  [budget] (default 100_000) bounds each
+    [Until_done] atom fed later and is recorded in snapshot metadata. *)
 
 val fork : cursor -> cursor
 (** An O(1) copy at the same configuration.  The fork shares the executed
@@ -70,7 +72,7 @@ val pending : cursor -> int -> Proc.request option
 
 val steps_taken : cursor -> int
 (** Global memory steps executed so far — the constant-time progress
-    clock (what [List.length result.log] cost O(n) to ask). *)
+    clock. *)
 
 val on_tick : cursor -> (int -> unit) -> unit
 (** Install a live-progress hook on the cursor's schedule session:

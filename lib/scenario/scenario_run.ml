@@ -140,7 +140,7 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
                   else
                     let input =
                       {
-                        Lint.log = r.Sim.log;
+                        Lint.log = Access_log.entries r.Sim.log;
                         history = r.Sim.history;
                         name_of = Memory.name_of r.Sim.mem;
                         data_sets = None;

@@ -1,12 +1,14 @@
-(* The flight recorder: a bounded ring buffer of atomic steps, filled from
-   Memory's per-step flight hook, plus everything needed to reproduce and
-   explain the run afterwards — the object-name table, the history, run
-   metadata (TM, schedule, seed) and verdict-provenance lines attached by
-   checkers and detectors.
+(* The flight recorder: a bounded window over the log of one execution,
+   plus everything needed to reproduce and explain the run afterwards —
+   the object-name table, the history, run metadata (TM, schedule, seed)
+   and verdict-provenance lines attached by checkers and detectors.
 
-   A recorder is one execution: [Sim.replay] resets the installed recorder
-   at the start of every replay, so after a run (or inside an explorer's
-   [on_execution] callback) the buffer holds exactly that execution.
+   The steps live in one place, the execution's own Access_log: [Sim]
+   attaches the log of every world it materializes to the installed
+   recorder, and the recorder reads the last [cap] steps of that log
+   when asked.  A recorder is therefore one execution: after a run (or
+   inside an explorer's [on_execution] callback) the window holds
+   exactly that execution's newest steps.
 
    Artifacts are JSONL ({!to_jsonl}/{!parse} round-trip exactly) or Chrome
    trace-event JSON ({!to_chrome}, Perfetto-loadable). *)
@@ -23,78 +25,63 @@ type verdict = {
 
 type t = {
   cap : int;
-  buf : Access_log.entry array;
-  mutable total : int;  (** entries recorded into the ring *)
-  mutable pre_dropped : int;
-      (** drops declared by an imported artifact, so a re-export of a
-          wrapped trace reports the same loss *)
+  mutable log : Access_log.t;  (** the viewed execution's step log *)
+  mutable base : int;
+      (** global index of the log's first step: 0 for a live run, the
+          declared drop count of an imported artifact, whose log holds
+          only the retained steps *)
   mutable names : string array;
   mutable history : History.t;
   mutable meta : (string * string) list;
   mutable verdicts : verdict list;
-  steps_c : Tm_obs.Metrics.counter;
 }
 
 let default_cap = 65_536
 
-let dummy_entry : Access_log.entry =
-  {
-    Access_log.index = 0;
-    pid = 0;
-    tid = None;
-    oid = Oid.of_int 0;
-    prim = Primitive.Read;
-    response = Value.unit;
-    changed = false;
-  }
+(* Shared by every detached recorder; frozen, so nothing records into it. *)
+let no_steps = Access_log.freeze (Access_log.create ())
 
 let create ?(cap = default_cap) () =
   if cap <= 0 then invalid_arg "Flight.create: cap must be positive";
   {
     cap;
-    buf = Array.make cap dummy_entry;
-    total = 0;
-    pre_dropped = 0;
+    log = no_steps;
+    base = 0;
     names = [||];
     history = History.of_list [];
     meta = [];
     verdicts = [];
-    steps_c =
-      Tm_obs.Metrics.counter
-        (Tm_obs.Sink.metrics Tm_obs.Sink.default)
-        "flight_steps_total";
   }
 
 let reset t =
-  t.total <- 0;
-  t.pre_dropped <- 0;
+  t.log <- no_steps;
+  t.base <- 0;
   t.names <- [||];
   t.history <- History.of_list [];
   t.meta <- [];
   t.verdicts <- []
 
-(* O(1) per step: one array write, two increments. *)
-let record t (e : Access_log.entry) =
-  t.buf.(t.total mod t.cap) <- e;
-  t.total <- t.total + 1;
-  Tm_obs.Metrics.inc t.steps_c
+let attach t log =
+  t.log <- log;
+  t.base <- 0
 
-let recorded t = t.pre_dropped + t.total
-let dropped t = t.pre_dropped + max 0 (t.total - t.cap)
+(* Log position of the oldest step inside the window. *)
+let first t = max 0 (Access_log.length t.log - t.cap)
+let recorded t = t.base + Access_log.length t.log
+let dropped t = t.base + first t
+
+let entry t pos =
+  let e = Access_log.get t.log pos in
+  if t.base = 0 then e else { e with Access_log.index = t.base + pos }
 
 let steps t =
-  let kept = min t.total t.cap in
-  List.init kept (fun i -> t.buf.((t.total - kept + i) mod t.cap))
+  let lo = first t in
+  List.init (Access_log.length t.log - lo) (fun k -> entry t (lo + k))
 
 let find_step t index =
-  let kept = min t.total t.cap in
-  let rec scan i =
-    if i >= kept then None
-    else
-      let e = t.buf.((t.total - kept + i) mod t.cap) in
-      if e.Access_log.index = index then Some e else scan (i + 1)
-  in
-  scan 0
+  let pos = index - t.base in
+  if pos >= first t && pos < Access_log.length t.log then Some (entry t pos)
+  else None
 
 let set_names t names = t.names <- names
 
@@ -114,7 +101,7 @@ let verdicts t = t.verdicts
 (* ------------------------------------------------------------------ *)
 (* The process-wide default recorder.  Like Sink.default, this lets the
    CLI enable recording without threading a recorder through every
-   signature: Sim.replay records into it whenever one is installed. *)
+   signature: Sim attaches each world it runs whenever one is installed. *)
 
 let installed : t option ref = ref None
 let install o = installed := o
@@ -391,7 +378,7 @@ let parse (text : string) : (t, string) result =
     |> List.filter (fun l -> l <> "")
   in
   let t = create ~cap:(max 1 (List.length lines)) () in
-  let events = ref [] in
+  let events = ref [] and step_lines = ref [] and n_steps = ref 0 in
   let handle_line j =
     match str_field "type" j with
     | "flight" -> (
@@ -419,8 +406,15 @@ let parse (text : string) : (t, string) result =
                      | None -> bad "non-string object name")
                    names)
         | _ -> bad "objects line without names list")
-    | "dropped" -> t.pre_dropped <- int_field "count" j
-    | "step" -> record t (step_of_json j)
+    | "dropped" -> t.base <- int_field "count" j
+    | "step" ->
+        (* the retained steps are the contiguous tail of the execution *)
+        let e = step_of_json j in
+        if e.Access_log.index <> t.base + !n_steps then
+          bad "step %d out of sequence (expected %d)" e.Access_log.index
+            (t.base + !n_steps);
+        incr n_steps;
+        step_lines := e :: !step_lines
     | "event" -> events := event_of_json j :: !events
     | "verdict" -> add_verdict t (verdict_of_json j)
     | other -> bad "unknown line type %S" other
@@ -432,6 +426,7 @@ let parse (text : string) : (t, string) result =
         | Ok j -> handle_line j
         | Error msg -> raise (Bad msg))
       lines;
+    t.log <- Access_log.of_entries (List.rev !step_lines);
     t.history <- History.of_list (List.rev !events);
     Ok t
   with Bad msg -> Error msg

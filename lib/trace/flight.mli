@@ -1,11 +1,14 @@
-(** The flight recorder: a bounded ring buffer of atomic steps (filled from
-    {!Tm_base.Memory}'s flight hook), the run's history and metadata, and
-    verdict-provenance lines — everything needed to re-render, replay and
-    explain an execution after the fact.
+(** The flight recorder: a bounded window ([cap] steps) over the access
+    log of one execution, plus the run's history and metadata and
+    verdict-provenance lines — everything needed to re-render, replay
+    and explain an execution after the fact.
 
-    One recorder holds one execution: [Sim.replay] resets the installed
-    recorder before running, so after a replay (or inside an explorer
-    callback) the buffer is exactly that execution's step sequence.
+    The recorder stores no steps of its own.  [Sim] attaches the log of
+    every world it materializes to the installed recorder (resetting it
+    first), and {!steps}/{!find_step} read the newest [cap] steps of that
+    log.  One recorder therefore holds one execution: after a replay (or
+    inside an explorer callback) the window is exactly that execution's
+    step sequence, or its tail once it outgrows [cap].
 
     Export formats: JSONL ({!to_jsonl}; re-imported losslessly by {!parse})
     and Chrome trace-event JSON ({!to_chrome}, loadable in Perfetto). *)
@@ -31,24 +34,25 @@ val create : ?cap:int -> unit -> t
 (** @raise Invalid_argument if [cap <= 0]. *)
 
 val reset : t -> unit
-(** Empty the buffer and drop names, history, meta and verdicts. *)
+(** Detach the log and drop names, history, meta and verdicts. *)
 
-val record : t -> Access_log.entry -> unit
-(** O(1); overwrites the oldest retained step once [cap] is exceeded. *)
+val attach : t -> Access_log.t -> unit
+(** View this execution log: the window follows the log as it grows. *)
 
 val recorded : t -> int
-(** Steps ever recorded (retained or not). *)
+(** Steps of the execution (inside the window or not). *)
 
 val dropped : t -> int
-(** Steps lost to wraparound. *)
+(** Steps older than the window. *)
 
 val steps : t -> Access_log.entry list
-(** Retained steps, oldest first. *)
+(** The steps inside the window, oldest first, carrying their global
+    indices. *)
 
 val find_step : t -> int -> Access_log.entry option
-(** Look up a retained step by its global index ([Access_log.entry.index]),
-    e.g. to render a lint finding's witness; [None] once the ring has
-    dropped it. *)
+(** Look up a step by its global index ([Access_log.entry.index]), e.g.
+    to render a lint finding's witness; [None] outside the window.
+    O(1). *)
 
 (** {1 Run context} *)
 
@@ -72,8 +76,8 @@ val verdicts : t -> verdict list
 
 (** {1 The process-wide recorder}
 
-    Mirrors [Sink.default]: installing a recorder makes [Sim.replay] record
-    every execution into it without threading it through signatures. *)
+    Mirrors [Sink.default]: installing a recorder makes [Sim] attach every
+    execution it runs without threading it through signatures. *)
 
 val install : t option -> unit
 val default : unit -> t option
@@ -85,8 +89,9 @@ val with_recorder : t -> (unit -> 'a) -> 'a
 
 val to_jsonl : t -> string
 (** The artifact format (one JSON object per line; schema in
-    docs/OBSERVABILITY.md).  [parse (to_jsonl t)] reconstructs [t] up to
-    ring capacity, and re-exporting the parse yields the same string. *)
+    docs/OBSERVABILITY.md).  [parse (to_jsonl t)] reconstructs the
+    window (its step lines and declared drop count), and re-exporting the
+    parse yields the same string. *)
 
 val write_jsonl : t -> string -> unit
 

@@ -344,7 +344,7 @@ let progressiveness_verdicts ~por impl =
   let on_execution ~strongest:_ (r : Sim.result) =
     let input =
       {
-        Lint.log = r.Sim.log;
+        Lint.log = Access_log.entries r.Sim.log;
         history = r.Sim.history;
         name_of = Memory.name_of r.Sim.mem;
         data_sets = Some Explore_sweep.data_sets;
@@ -480,6 +480,50 @@ let test_expected_classification () =
     (Lints.is_expected ~tm:None (finding "race" Lint.Info))
 
 (* ------------------------------------------------------------------ *)
+(* golden lint JSONL over wrapped flight windows: every TM's live
+   workload recorded into a 64-step window, so the window drops steps
+   and the witnesses (race and strict-dap steps, of-stall intervals)
+   carry global indices past the window's offset *)
+let test_golden_wrapped_flight () =
+  let lines =
+    List.concat_map
+      (fun impl ->
+        let (module M : Tm_intf.S) = impl in
+        let fl = Flight.create ~cap:64 () in
+        Flight.with_recorder fl (fun () ->
+            ignore
+              (Workload.run impl
+                 {
+                   Workload.default with
+                   Workload.conflict_pct = 50;
+                   txns_per_proc = 10;
+                   seed = 1;
+                 }));
+        let input = { (Lint.input_of_flight fl) with Lint.tm = Some M.name } in
+        let window =
+          Obs_json.Obj
+            [
+              ("type", Obs_json.String "window");
+              ("tm", Obs_json.String M.name);
+              ("recorded", Obs_json.Int (Flight.recorded fl));
+              ("dropped", Obs_json.Int (Flight.dropped fl));
+            ]
+        in
+        List.map Obs_json.to_string
+          (window
+          :: List.map Lint.finding_json
+               (Lints.run_passes Lint_passes.trace_passes input)
+                 .Lints.findings))
+      Registry.all
+  in
+  let golden =
+    In_channel.with_open_text "golden/wrapped_flight_lint.jsonl"
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "wrapped-flight lint lines" golden lines
+
 (* golden lint JSONL for Figure 2 (beta' on the candidate TM) *)
 
 let test_golden_fig2_jsonl () =
@@ -562,5 +606,7 @@ let () =
         [
           Alcotest.test_case "figure-2 lint JSONL" `Quick
             test_golden_fig2_jsonl;
+          Alcotest.test_case "wrapped-flight lint JSONL" `Quick
+            test_golden_wrapped_flight;
         ] );
     ]

@@ -6,6 +6,14 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
+(* The entries on one index ring, oldest first: walk [prev] back from
+   [head]. *)
+let ring_entries log prev head =
+  let rec walk i acc =
+    if i < 0 then acc else walk (prev log i) (Access_log.get log i :: acc)
+  in
+  walk head []
+
 let value_tests =
   [
     Alcotest.test_case "initial value is 0" `Quick (fun () ->
@@ -212,7 +220,7 @@ let memory_tests =
         let a = Memory.alloc m ~name:"a" (Value.int 0) in
         ignore (Memory.peek m a);
         check_int "no steps" 0 (Memory.step_count m));
-    Alcotest.test_case "by_txn and objects_of_txn" `Quick (fun () ->
+    Alcotest.test_case "txn ring and objects_of_txn" `Quick (fun () ->
         let m = Memory.create () in
         let a = Memory.alloc m ~name:"a" (Value.int 0) in
         let b = Memory.alloc m ~name:"b" (Value.int 0) in
@@ -220,7 +228,11 @@ let memory_tests =
         ignore
           (Memory.apply m ~pid:1 ~tid:(Tid.v 1) b (Primitive.Write (Value.int 2)));
         ignore (Memory.apply m ~pid:2 ~tid:(Tid.v 2) a Primitive.Read);
-        check_int "t1 steps" 2 (List.length (Access_log.by_txn (Memory.log m) (Tid.v 1)));
+        let log = Memory.log m in
+        check_int "t1 steps" 2
+          (List.length
+             (ring_entries log Access_log.prev_same_txn
+                (Access_log.last_index_of_txn log (Tid.v 1))));
         let objs = Access_log.objects_of_txn (Memory.log m) (Tid.v 1) in
         check "a trivial" true (Oid.Map.find a objs = false);
         check "b non-trivial" true (Oid.Map.find b objs = true));
@@ -298,7 +310,8 @@ let vec_tests =
 
 let log_bounds_tests =
   [
-    Alcotest.test_case "get and sub check bounds" `Quick (fun () ->
+    Alcotest.test_case "get checks bounds, views are read-only" `Quick
+      (fun () ->
         let m = Memory.create () in
         let a = Memory.alloc m ~name:"a" (Value.int 0) in
         for i = 1 to 5 do
@@ -313,16 +326,12 @@ let log_bounds_tests =
         in
         check "get -1" true (oob (fun () -> Access_log.get log (-1)));
         check "get len" true (oob (fun () -> Access_log.get log 5));
-        check "sub neg pos" true
-          (oob (fun () -> Access_log.sub log ~pos:(-1) ~len:1));
-        check "sub neg len" true
-          (oob (fun () -> Access_log.sub log ~pos:0 ~len:(-1)));
-        check "sub past end" true
-          (oob (fun () -> Access_log.sub log ~pos:3 ~len:3));
-        check_int "sub ok" 2
-          (List.length (Access_log.sub log ~pos:3 ~len:2));
-        check "sub empty at end" true
-          (Access_log.sub log ~pos:5 ~len:0 = []));
+        let view = Access_log.freeze log in
+        check "frozen view records nothing" true
+          (oob (fun () ->
+               Access_log.record view ~pid:1 ~tid:None ~oid:a
+                 ~prim:Primitive.Read ~response:Value.unit ~changed:false));
+        check "view get len" true (oob (fun () -> Access_log.get view 5)));
   ]
 
 (* a fuzzed log: random steps over a few objects/processes/transactions,
@@ -354,35 +363,78 @@ let log_prop_tests =
   let open QCheck in
   [
     QCheck_alcotest.to_alcotest
-      (Test.make ~count:100 ~name:"entries = of_seq (to_seq)" gen_log_ops
+      (Test.make ~count:100 ~name:"entries = iter order" gen_log_ops
          (fun ops ->
            let log = build_log ops in
-           Access_log.entries log = List.of_seq (Access_log.to_seq log)));
+           let seen = ref [] in
+           Access_log.iter log ~f:(fun e -> seen := e :: !seen);
+           Access_log.entries log = List.rev !seen));
     QCheck_alcotest.to_alcotest
       (Test.make ~count:100
-         ~name:"by_txn ring = filter over entries" gen_log_ops (fun ops ->
+         ~name:"txn ring walk = filter over entries" gen_log_ops (fun ops ->
            let log = build_log ops in
            let entries = Access_log.entries log in
-           List.for_all
-             (fun t ->
-               let tid = Tid.v t in
-               Access_log.by_txn log tid
-               = List.filter
-                   (fun e -> e.Access_log.tid = Some tid)
-                   entries)
-             [ 1; 2; 3; 4 ]));
+           Access_log.txns log
+           = List.sort_uniq Tid.compare
+               (List.filter_map (fun e -> e.Access_log.tid) entries)
+           && List.for_all
+                (fun t ->
+                  let tid = Tid.v t in
+                  ring_entries log Access_log.prev_same_txn
+                    (Access_log.last_index_of_txn log tid)
+                  = List.filter
+                      (fun e -> e.Access_log.tid = Some tid)
+                      entries)
+                [ 1; 2; 3; 4 ]));
     QCheck_alcotest.to_alcotest
       (Test.make ~count:100
-         ~name:"by_pid ring = filter over entries" gen_log_ops (fun ops ->
+         ~name:"pid ring walk = filter over entries" gen_log_ops (fun ops ->
            let log = build_log ops in
            let entries = Access_log.entries log in
            List.for_all
              (fun pid ->
-               Access_log.by_pid log pid
-               = List.filter (fun e -> e.Access_log.pid = pid) entries
-               && Access_log.pid_step_count log pid
-                  = List.length (Access_log.by_pid log pid))
+               let mine =
+                 List.filter (fun e -> e.Access_log.pid = pid) entries
+               in
+               ring_entries log Access_log.prev_same_pid
+                 (Access_log.last_index_by_pid log pid)
+               = mine
+               && Access_log.pid_step_count log pid = List.length mine)
              [ 1; 2; 3; 4; 5 ]));
+    QCheck_alcotest.to_alcotest
+      (Test.make ~count:100
+         ~name:"freeze: later steps are not seen by the view"
+         QCheck.(pair gen_log_ops gen_log_ops)
+         (fun (ops, more) ->
+           let m = Memory.create () in
+           let oid = Memory.alloc m ~name:"o" (Value.int 0) in
+           let apply (pid, t, _, v) =
+             let tid = if t = 0 then None else Some (Tid.v t) in
+             ignore (Memory.apply m ~pid ?tid oid (Primitive.Write (Value.int v)))
+           in
+           List.iter apply ops;
+           let log = Memory.log m in
+           let view = Access_log.freeze log in
+           let before = Access_log.entries view in
+           let heads =
+             List.map
+               (fun k ->
+                 ( Access_log.last_index_by_pid view k,
+                   Access_log.pid_step_count view k,
+                   Access_log.last_index_of_txn view (Tid.v k) ))
+               [ 0; 1; 2; 3; 4 ]
+           in
+           List.iter apply more;
+           Access_log.entries view = before
+           && Access_log.length view = List.length ops
+           && Access_log.last_index_on_oid view oid = List.length ops - 1
+           && List.map
+                (fun k ->
+                  ( Access_log.last_index_by_pid view k,
+                    Access_log.pid_step_count view k,
+                    Access_log.last_index_of_txn view (Tid.v k) ))
+                [ 0; 1; 2; 3; 4 ]
+              = heads));
     QCheck_alcotest.to_alcotest
       (Test.make ~count:100
          ~name:"per-object ring walks = filter over entries" gen_log_ops

@@ -24,6 +24,7 @@ let write v = Primitive.Write (Value.int v)
 (* p1 alone: first touch of each object is a cold-miss RMR; re-touching
    an object nobody wrote since is local *)
 let solo_log =
+  Access_log.of_entries
   [
     entry 0 1 0 (write 1) ~changed:true;
     entry 1 1 0 Primitive.Read ~changed:false;
@@ -34,6 +35,7 @@ let solo_log =
 (* same shape, but p2's writes to the object interleave: every re-read
    by p1 is now remote again *)
 let contended_log =
+  Access_log.of_entries
   [
     entry 0 1 0 (write 1) ~changed:true;
     entry 1 2 0 (write 9) ~changed:true;

@@ -48,7 +48,7 @@ let synthetic_log accesses =
       in
       ignore (Memory.apply m ~pid ~tid:(Tid.v tid) (oid o) prim))
     accesses;
-  Access_log.entries (Memory.log m)
+  Memory.log m
 
 let contention_tests =
   [
@@ -56,16 +56,16 @@ let contention_tests =
         let log =
           synthetic_log [ (1, 1, 1, false); (2, 2, 1, false) ]
         in
-        check_int "none" 0 (List.length (Contention.all_contentions log)));
+        check_int "none" 0 (List.length (Contention.all_contentions_log log)));
     Alcotest.test_case "writer vs reader contend" `Quick (fun () ->
         let log = synthetic_log [ (1, 1, 1, true); (2, 2, 1, false) ] in
-        match Contention.all_contentions log with
+        match Contention.all_contentions_log log with
         | [ c ] ->
             check "objects" true (List.length c.Contention.objects = 1)
         | l -> Alcotest.failf "expected 1 contention, got %d" (List.length l));
     Alcotest.test_case "different objects never contend" `Quick (fun () ->
         let log = synthetic_log [ (1, 1, 1, true); (2, 2, 2, true) ] in
-        check_int "none" 0 (List.length (Contention.all_contentions log)));
+        check_int "none" 0 (List.length (Contention.all_contentions_log log)));
     Alcotest.test_case "steps without txn attribution are ignored" `Quick
       (fun () ->
         let m = Memory.create () in
@@ -74,7 +74,7 @@ let contention_tests =
         ignore (Memory.apply m ~pid:2 o (Primitive.Write (Value.int 2)));
         check_int "none" 0
           (List.length
-             (Contention.all_contentions (Access_log.entries (Memory.log m)))));
+             (Contention.all_contentions_log (Memory.log m))));
   ]
 
 let dap_tests =
@@ -141,7 +141,7 @@ let of_tests =
           Build.history [ B (1, 1); R (1, "x", 0); Ca 1; B (2, 2); C 2 ]
         in
         check "no violation" true
-          (Obstruction_freedom.holds h (Access_log.entries (Memory.log m))));
+          (Obstruction_freedom.holds h (Memory.log m)));
     Alcotest.test_case "abort without contention is flagged" `Quick (fun () ->
         let m = Memory.create () in
         let o = Memory.alloc m ~name:"o" (Value.int 0) in
@@ -149,7 +149,7 @@ let of_tests =
         ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
         let h = Build.history [ B (1, 1); R (1, "x", 0); Ca 1 ] in
         match
-          Obstruction_freedom.violations h (Access_log.entries (Memory.log m))
+          Obstruction_freedom.violations h (Memory.log m)
         with
         | [ v ] -> check "t1" true (Tid.equal v.Obstruction_freedom.tid (Tid.v 1))
         | l -> Alcotest.failf "expected 1 violation, got %d" (List.length l));
@@ -160,13 +160,25 @@ let of_tests =
         ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
         let h = Build.history [ B (1, 1); R (1, "x", 0); C 1 ] in
         check "no violation" true
-          (Obstruction_freedom.holds h (Access_log.entries (Memory.log m))));
+          (Obstruction_freedom.holds h (Memory.log m)));
     Alcotest.test_case "zero-step aborted txn uses event interval" `Quick
       (fun () ->
         (* a txn that took no shared steps and aborted alone *)
         let h = Build.history [ B (1, 1); Ca 1 ] in
-        match Obstruction_freedom.violations h [] with
+        match Obstruction_freedom.violations h (Access_log.create ()) with
         | [ _ ] -> ()
+        | l -> Alcotest.failf "expected 1 violation, got %d" (List.length l));
+    Alcotest.test_case "window base shifts step intervals" `Quick (fun () ->
+        (* the log holds steps 10..11 of a longer execution *)
+        let m = Memory.create () in
+        let o = Memory.alloc m ~name:"o" (Value.int 0) in
+        ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
+        ignore (Memory.apply m ~pid:1 ~tid:(Tid.v 1) o Primitive.Read);
+        let h = Build.history [ B (1, 1); R (1, "x", 0); Ca 1 ] in
+        match Obstruction_freedom.violations ~base:10 h (Memory.log m) with
+        | [ v ] ->
+            check "global interval" true
+              (v.Obstruction_freedom.interval = (10, 11))
         | l -> Alcotest.failf "expected 1 violation, got %d" (List.length l));
   ]
 

@@ -22,7 +22,7 @@ let sig_of (r : Sim.result) =
   List.map
     (fun (e : Access_log.entry) ->
       (e.Access_log.pid, Oid.to_int e.Access_log.oid))
-    r.Sim.log
+    (Access_log.entries r.Sim.log)
 
 let cursor_tests =
   [
@@ -34,7 +34,21 @@ let cursor_tests =
         ignore (Sim.step c 1);
         check_int "three steps" 3 (Sim.steps_taken c);
         let r = Sim.snapshot ~flight:false c in
-        check_int "matches log" (List.length r.Sim.log) (Sim.steps_taken c));
+        check_int "matches log" (Access_log.length r.Sim.log) (Sim.steps_taken c));
+    Alcotest.test_case "snapshot is isolated from later steps" `Quick
+      (fun () ->
+        let c = Sim.start (counter_setup 3 2) in
+        ignore (Sim.step c 1);
+        ignore (Sim.step c 2);
+        let r = Sim.snapshot ~flight:false c in
+        let before = Access_log.entries r.Sim.log in
+        ignore (Sim.step c 1);
+        ignore (Sim.step c 2);
+        ignore (Sim.step c 1);
+        check_int "live world advanced" 5 (Sim.steps_taken c);
+        check_int "snapshot length unchanged" 2 (Access_log.length r.Sim.log);
+        check "snapshot contents unchanged" true
+          (Access_log.entries r.Sim.log = before));
     Alcotest.test_case "step reports progress truthfully" `Quick (fun () ->
         let c = Sim.start (counter_setup 1 0) in
         check "first step progresses" true (Sim.step c 1);

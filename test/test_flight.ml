@@ -1,4 +1,4 @@
-(* The flight recorder: ring-buffer wraparound, the JSONL artifact
+(* The flight recorder: the window over an execution log, the JSONL artifact
    round-trip, deterministic replay of a dumped schedule, the golden
    Figure-1 timeline, registry prefix lookup, and unsat-core provenance. *)
 
@@ -23,40 +23,46 @@ let entry_eq (a : Access_log.entry) (b : Access_log.entry) =
   && j (Flight.value_json a.Access_log.response)
      = j (Flight.value_json b.Access_log.response)
 
-let entry i pid =
-  {
-    Access_log.index = i;
-    pid;
-    tid = Some (Tid.v pid);
-    oid = Oid.of_int (i mod 3);
-    prim = Primitive.Write (Value.int i);
-    response = Value.unit;
-    changed = true;
-  }
+(* A real execution log: step [i] is taken by process [pid i] inside its
+   own transaction, writing [i] to one of three objects. *)
+let memory_log ?(pid = fun _ -> 1) n =
+  let m = Memory.create () in
+  let oids =
+    Array.init 3 (fun k ->
+        Memory.alloc m ~name:(Printf.sprintf "o%d" k) (Value.int 0))
+  in
+  for i = 0 to n - 1 do
+    ignore
+      (Memory.apply m ~pid:(pid i) ~tid:(Tid.v (pid i)) oids.(i mod 3)
+         (Primitive.Write (Value.int i)))
+  done;
+  (m, oids)
 
 (* ------------------------------------------------------------------ *)
-(* ring buffer *)
+(* the window over an execution log *)
 
 let test_wraparound () =
   let fl = Flight.create ~cap:4 () in
-  for i = 0 to 9 do
-    Flight.record fl (entry i 1)
-  done;
+  let m, oids = memory_log 10 in
+  Flight.attach fl (Memory.log m);
   Alcotest.(check int) "recorded" 10 (Flight.recorded fl);
   Alcotest.(check int) "dropped" 6 (Flight.dropped fl);
   Alcotest.(check (list int))
     "last cap steps retained, oldest first" [ 6; 7; 8; 9 ]
     (List.map (fun (e : Access_log.entry) -> e.Access_log.index)
        (Flight.steps fl));
+  ignore (Memory.apply m ~pid:1 oids.(0) Primitive.Read);
+  Alcotest.(check int) "the window follows the log" 10
+    (List.hd (List.rev (Flight.steps fl))).Access_log.index;
+  Alcotest.(check int) "one more drop" 7 (Flight.dropped fl);
   Flight.reset fl;
   Alcotest.(check int) "reset empties" 0 (Flight.recorded fl);
   Alcotest.(check int) "reset clears drops" 0 (Flight.dropped fl)
 
 let test_wraparound_export () =
   let fl = Flight.create ~cap:3 () in
-  for i = 0 to 4 do
-    Flight.record fl (entry i (1 + (i mod 2)))
-  done;
+  let m, _ = memory_log ~pid:(fun i -> 1 + (i mod 2)) 5 in
+  Flight.attach fl (Memory.log m);
   let text = Flight.to_jsonl fl in
   match Flight.parse text with
   | Error msg -> Alcotest.failf "parse: %s" msg
@@ -65,6 +71,72 @@ let test_wraparound_export () =
       Alcotest.(check int) "recorded survives import" 5 (Flight.recorded fl');
       Alcotest.(check string) "re-export is identical" text
         (Flight.to_jsonl fl')
+
+let test_out_of_sequence_rejected () =
+  let fl = Flight.create ~cap:3 () in
+  let m, _ = memory_log 5 in
+  Flight.attach fl (Memory.log m);
+  let text = Flight.to_jsonl fl in
+  (* drop the first retained step: the tail no longer starts at the
+     declared drop count *)
+  let rec drop_first_step = function
+    | l :: rest when contains ~sub:"\"type\":\"step\"" l -> rest
+    | l :: rest -> l :: drop_first_step rest
+    | [] -> []
+  in
+  let text' =
+    String.concat "\n"
+      (drop_first_step (String.split_on_char '\n' text))
+  in
+  Alcotest.(check bool) "gap in the step lines is an error" true
+    (Result.is_error (Flight.parse text'))
+
+(* the window law: over random execution logs and caps below, equal to
+   and above the log length, every read of the window equals a reference
+   filtered from the log's entries — live, and after an export/import
+   round trip *)
+let window_law =
+  QCheck.Test.make ~count:200 ~name:"window = filtered log entries"
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 40) (int_range 1 3))
+        (int_range 0 2))
+    (fun (pids, which) ->
+      let pids = Array.of_list pids in
+      let n = Array.length pids in
+      let cap =
+        match which with 0 -> max 1 (n - 1) | 1 -> max 1 n | _ -> n + 5
+      in
+      let m, _ = memory_log ~pid:(fun i -> pids.(i)) n in
+      let all = Access_log.entries (Memory.log m) in
+      let kept =
+        List.filter (fun (e : Access_log.entry) -> e.index >= n - cap) all
+      in
+      let holds fl =
+        List.length (Flight.steps fl) = List.length kept
+        && List.for_all2 entry_eq (Flight.steps fl) kept
+        && Flight.recorded fl = n
+        && Flight.dropped fl = n - List.length kept
+        && List.for_all
+             (fun i ->
+               match
+                 ( Flight.find_step fl i,
+                   List.find_opt
+                     (fun (e : Access_log.entry) -> e.index = i)
+                     kept )
+               with
+               | Some a, Some b -> entry_eq a b
+               | None, None -> true
+               | _ -> false)
+             (List.init (n + 2) (fun i -> i - 1))
+      in
+      let fl = Flight.create ~cap () in
+      Flight.attach fl (Memory.log m);
+      holds fl
+      &&
+      match Flight.parse (Flight.to_jsonl fl) with
+      | Ok fl' -> holds fl'
+      | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* record -> export -> import round-trip on a real execution *)
@@ -234,6 +306,9 @@ let () =
           Alcotest.test_case "wraparound" `Quick test_wraparound;
           Alcotest.test_case "wraparound export" `Quick
             test_wraparound_export;
+          Alcotest.test_case "out-of-sequence steps rejected" `Quick
+            test_out_of_sequence_rejected;
+          QCheck_alcotest.to_alcotest window_law;
         ] );
       ( "artifact",
         [

@@ -63,7 +63,7 @@ let pipeline_tests =
               List.sort_uniq compare
                 (List.filter_map
                    (fun (e : Access_log.entry) -> e.Access_log.tid)
-                   r.Sim.log)
+                   (Access_log.entries r.Sim.log))
             in
             let hist_tids = History.txns r.Sim.history in
             check "log txns appear in history" true
@@ -106,7 +106,7 @@ let dap_property_tests =
                      (random_schedule st)
                  in
                  check "no contention at all" true
-                   (Contention.all_contentions r.Sim.log = [])
+                   (Contention.all_contentions_log r.Sim.log = [])
                done))
       else None)
     Registry.all

@@ -221,7 +221,7 @@ let test_schedule_session_steps () =
       [ Schedule.Steps (1, 2); Schedule.Until_done 2; Schedule.Until_done 1 ]
   in
   (* session accounting agrees with the log the replay produced *)
-  Alcotest.(check int) "log length" 8 (List.length r.Sim.log)
+  Alcotest.(check int) "log length" 8 (Access_log.length r.Sim.log)
 
 (* ------------------------------------------------------------------ *)
 (* the soak driver: completion, determinism, stall attribution *)

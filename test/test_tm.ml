@@ -189,7 +189,7 @@ let pram_tests =
     Alcotest.test_case "takes zero shared steps" `Quick (fun () ->
         let specs = [ spec 1 1 [ x ] [ (x, 1) ] ] in
         let r, _ = run impl specs [ Schedule.Until_done 1 ] in
-        check_int "no steps" 0 (List.length r.Sim.log));
+        check_int "no steps" 0 (Access_log.length r.Sim.log));
     Alcotest.test_case "own process sees its committed writes" `Quick
       (fun () ->
         (* one process running two transactions back to back *)
@@ -498,7 +498,7 @@ let tl2_tests =
         let r, outcomes = run impl specs [ Schedule.Until_done 1 ] in
         check "committed" true (status outcomes 1 = Static_txn.Committed);
         (* begin (clock) + two reads = 3 steps, nothing at commit *)
-        Alcotest.(check int) "steps" 3 (List.length r.Sim.log));
+        Alcotest.(check int) "steps" 3 (Access_log.length r.Sim.log));
     Alcotest.test_case "disjoint txns contend on the clock" `Quick (fun () ->
         let specs =
           [ spec 1 1 [] [ (x, 1) ]; spec 2 2 [] [ (y, 2) ] ]
@@ -553,7 +553,7 @@ let norec_tests =
         let r, outcomes = run impl specs [ Schedule.Until_done 1 ] in
         check "committed" true (status outcomes 1 = Static_txn.Committed);
         (* begin: 1 seq read; two item reads with one seq post-check each *)
-        check "few steps" true (List.length r.Sim.log <= 6));
+        check "few steps" true (Access_log.length r.Sim.log <= 6));
     Alcotest.test_case "value-based validation aborts a torn read set"
       `Quick (fun () ->
         (* one completed read is not enough — NOrec simply re-snapshots;
