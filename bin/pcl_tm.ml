@@ -55,11 +55,74 @@ let watch_counters =
     ("rmrs", "cost_rmr_total");
   ]
 
-let make_watch ~enabled ~label ~every =
-  if enabled then Some (Watch.create ~every ~label watch_counters) else None
+(** [watching watch ~label ~every f] runs [f tick]; with [--watch], each
+    [tick ()] is one unit of progress and the closing snapshot follows. *)
+let watching watch ~label ~every f =
+  if not watch then f ignore
+  else begin
+    let w = Watch.create ~every ~label watch_counters in
+    let r = f (fun () -> Watch.tick w) in
+    Watch.finish w;
+    r
+  end
 
-let watch_tick = Option.iter Watch.tick
-let watch_finish = Option.iter Watch.finish
+(* ------------------------------------------------------------------ *)
+(* The sweep front end: the flags the sweep subcommands share, and the
+   one place their output files are opened and their JSONL is written. *)
+
+(** Open a file the command will write.  An unwritable path is invalid
+    input (PCL-E002); callers open before the sweep, so it costs no work. *)
+let open_file ?(append = false) path =
+  let mode = if append then Open_append else Open_trunc in
+  try open_out_gen [ Open_wronly; Open_creat; mode ] 0o644 path
+  with Sys_error msg -> Fmt.failwith "cannot write %s" msg
+
+let write_file oc s =
+  output_string oc s;
+  close_out oc
+
+(** An optional [FILE] flag, opened as soon as the command line is read. *)
+let file_arg i =
+  Term.(const (Option.map open_file) $ Arg.(value & opt (some string) None i))
+
+type out = { json : bool; file : out_channel option }
+
+let out_arg =
+  let json =
+    Arg.(
+      value & flag
+      & info [ "json" ] ~doc:"Emit JSONL on stdout instead of the table.")
+  in
+  let file =
+    file_arg
+      (Arg.info [ "o"; "output" ] ~docv:"FILE"
+         ~doc:"Also write the JSONL to $(docv).")
+  in
+  Term.(const (fun json file -> { json; file }) $ json $ file)
+
+(** Write [jsonl] to [-o], and to stdout under [--json]: the same bytes. *)
+let emit out jsonl =
+  Option.iter (fun oc -> write_file oc jsonl) out.file;
+  if out.json then print_string jsonl
+
+let jsonl_of values =
+  String.concat "" (List.map (fun j -> Obs_json.to_string j ^ "\n") values)
+
+let seed_arg doc = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc)
+
+let all_tms_arg =
+  Arg.(
+    value & flag
+    & info [ "all-tms" ]
+        ~doc:
+          "Run every TM in the registry (the default when no $(b,-t) is \
+           given).")
+
+(** [-t TM] / [--all-tms] as the TMs to sweep. *)
+let tms_arg =
+  Term.(
+    const (fun tm all -> if all then Registry.all else impls_of tm)
+    $ tm_arg $ all_tms_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -265,6 +328,12 @@ let dump_dir_arg =
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
+(* the dump directory when recording *)
+let dump_arg =
+  Term.(
+    const (fun record dir -> if record then Some dir else None)
+    $ record_arg $ dump_dir_arg)
+
 let lint_flag =
   Arg.(
     value & flag
@@ -357,49 +426,52 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
 
 let explore_cmd =
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Sweep seed, stamped into the JSONL rows.  The sweep itself \
-             is exhaustive and deterministic — every seed yields the \
-             same verdict profile; the flag exists so every sweep \
-             subcommand shares the $(b,--seed)/$(b,--json)/$(b,-o)/\
-             $(b,--watch) vocabulary.")
+    seed_arg
+      "Sweep seed, only stamped into the JSONL rows: the sweep is \
+       exhaustive and deterministic, so every seed yields the same \
+       verdict profile."
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSONL row per TM on stdout instead of the table.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL rows to $(docv).")
-  in
-  let run tm record dump_dir lint por seed json output watch =
+  let run tm dump_dir lint por seed out watch =
     let violations = ref 0 and executions = ref 0 in
     let impls = impls_of tm in
-    let json_lines = ref [] in
-    List.iter
-      (fun impl ->
-        let (module M : Tm_intf.S) = impl in
-        let w =
-          make_watch ~enabled:watch ~label:("explore:" ^ M.name) ~every:200
-        in
-        let profiles, stats, dumped, lint_unexpected =
-          run_explore
-            ?dump_dir:(if record then Some dump_dir else None)
-            ~lint ~por
-            ~on_progress:(fun () -> watch_tick w)
-            impl
-        in
-        watch_finish w;
-        executions := !executions + stats.Explorer.executions;
-        json_lines :=
+    let rows =
+      List.map
+        (fun impl ->
+          let (module M : Tm_intf.S) = impl in
+          let profiles, stats, dumped, lint_unexpected =
+            watching watch ~label:("explore:" ^ M.name) ~every:200
+              (fun on_progress ->
+                run_explore ?dump_dir ~lint ~por ~on_progress impl)
+          in
+          executions := !executions + stats.Explorer.executions;
+          if not out.json then begin
+            Format.printf
+              "%s: %d complete interleavings (%d nodes%s%s), strongest \
+               condition satisfied:@."
+              M.name stats.Explorer.executions stats.Explorer.nodes
+              (if por then
+                 Printf.sprintf ", %d sleep-set prunes, %d replays"
+                   stats.Explorer.sleep_pruned stats.Explorer.replays
+               else "")
+              (if stats.Explorer.truncated then ", truncated" else "")
+          end;
+          List.iter
+            (fun (name, n) ->
+              if name = "none" then violations := !violations + n;
+              if not out.json then
+                Format.printf "  %-26s %d executions@." name n)
+            profiles;
+          if lint then begin
+            violations := !violations + lint_unexpected;
+            if not out.json then
+              Format.printf "  %-26s %d executions@." "unexpected-lint"
+                lint_unexpected
+          end;
+          if not out.json then
+            List.iter
+              (fun path ->
+                Format.printf "  violating trace dumped to %s@." path)
+              dumped;
           Obs_json.Obj
             [
               Schema.field;
@@ -416,49 +488,12 @@ let explore_cmd =
                   (List.map
                      (fun (name, n) -> (name, Obs_json.Int n))
                      profiles) );
-            ]
-          :: !json_lines;
-        if not json then begin
-          Format.printf
-            "%s: %d complete interleavings (%d nodes%s%s), strongest \
-             condition satisfied:@."
-            M.name stats.Explorer.executions stats.Explorer.nodes
-            (if por then
-               Printf.sprintf ", %d sleep-set prunes, %d replays"
-                 stats.Explorer.sleep_pruned stats.Explorer.replays
-             else "")
-            (if stats.Explorer.truncated then ", truncated" else "")
-        end;
-        List.iter
-          (fun (name, n) ->
-            if name = "none" then violations := !violations + n;
-            if not json then Format.printf "  %-26s %d executions@." name n)
-          profiles;
-        if lint then begin
-          violations := !violations + lint_unexpected;
-          if not json then
-            Format.printf "  %-26s %d executions@." "unexpected-lint"
-              lint_unexpected
-        end;
-        if not json then
-          List.iter
-            (fun path ->
-              Format.printf "  violating trace dumped to %s@." path)
-            dumped)
-      impls;
-    let jsonl =
-      String.concat ""
-        (List.rev_map (fun j -> Obs_json.to_string j ^ "\n") !json_lines)
+            ])
+        impls
     in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl;
+    emit out (jsonl_of rows);
     if !violations > 0 then begin
-      if not json then
+      if not out.json then
         Format.printf
           "%d execution(s) satisfy no consistency condition at all@."
           !violations;
@@ -483,8 +518,8 @@ let explore_cmd =
           the first such execution is dumped as a replayable trace; with \
           $(b,--lint) the pclsan trace passes run on every execution.")
     Term.(
-      const run $ tm_arg $ record_arg $ dump_dir_arg $ lint_flag $ por_flag
-      $ seed $ json $ output $ watch_arg)
+      const run $ tm_arg $ dump_arg $ lint_flag $ por_flag $ seed $ out_arg
+      $ watch_arg)
 
 let trace_cmd =
   let schedule_arg =
@@ -583,14 +618,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
   and lint_bad = ref 0
   and stalled = ref 0
   and dumped = ref [] in
-  let target_checker =
-    (* weakest claim each TM makes about committed transactions *)
-    match M.name with
-    | "pram-local" -> Checkers.find_exn "pram"
-    | "si-clock" -> Checkers.find_exn "snapshot-isolation"
-    | "candidate" | "llsc-candidate" -> Checkers.find_exn "weak-adaptive"
-    | _ -> Checkers.find_exn "strict-serializability"
-  in
+  let target_checker = Checkers.find_exn (Chaos_run.weakest_claim M.name) in
   let iteration i =
     (* random static transactions over three items *)
     let spec tid pid =
@@ -785,23 +813,7 @@ let fuzz_cmd =
       value & opt int 200
       & info [ "n"; "iterations" ] ~docv:"N" ~doc:"Random executions to try.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit one JSONL row per TM on stdout instead of the table.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL rows to $(docv).")
-  in
-  let run tm iters seed record dump_dir lint json output watch =
+  let run tm iters seed dump_dir lint out watch =
     let violations = ref 0 and runs = ref 0 in
     let kinds = Hashtbl.create 8 in
     let count kind n =
@@ -809,29 +821,37 @@ let fuzz_cmd =
         Hashtbl.replace kinds kind
           (n + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
     in
-    let json_lines = ref [] in
-    List.iter
-      (fun impl ->
-        let (module M : Tm_intf.S) = impl in
-        let w =
-          make_watch ~enabled:watch ~label:("fuzz:" ^ M.name) ~every:50
-        in
-        let t =
-          run_fuzz
-            ?dump_dir:(if record then Some dump_dir else None)
-            ~lint
-            ~on_progress:(fun () -> watch_tick w)
-            impl ~iters ~seed
-        in
-        watch_finish w;
-        violations := !violations + fuzz_violations t;
-        runs := !runs + iters;
-        count "ill-formed" t.wf_bad;
-        count "obstruction-freedom" t.of_bad;
-        count "strict-dap" t.dap_bad;
-        count "consistency" t.cons_bad;
-        count "lint" t.lint_bad;
-        json_lines :=
+    let rows =
+      List.map
+        (fun impl ->
+          let (module M : Tm_intf.S) = impl in
+          let t =
+            watching watch ~label:("fuzz:" ^ M.name) ~every:50
+              (fun on_progress ->
+                run_fuzz ?dump_dir ~lint ~on_progress impl ~iters ~seed)
+          in
+          violations := !violations + fuzz_violations t;
+          runs := !runs + iters;
+          count "ill-formed" t.wf_bad;
+          count "obstruction-freedom" t.of_bad;
+          count "strict-dap" t.dap_bad;
+          count "consistency" t.cons_bad;
+          count "lint" t.lint_bad;
+          if not out.json then begin
+            Format.printf
+              "%-12s %d runs: ill-formed %d, OF violations %d, strict-DAP \
+               violations %d, consistency-target violations %d%s, stalled \
+               %d@."
+              M.name iters t.wf_bad t.of_bad t.dap_bad t.cons_bad
+              (if lint then
+                 Printf.sprintf ", unexpected lint findings %d" t.lint_bad
+               else "")
+              t.stalled;
+            List.iter
+              (fun path ->
+                Format.printf "  violating trace dumped to %s@." path)
+              t.dumped
+          end;
           Obs_json.Obj
             [
               Schema.field;
@@ -845,37 +865,12 @@ let fuzz_cmd =
               ("consistency_violations", Obs_json.Int t.cons_bad);
               ("lint_unexpected", Obs_json.Int t.lint_bad);
               ("stalled", Obs_json.Int t.stalled);
-            ]
-          :: !json_lines;
-        if not json then begin
-          Format.printf
-            "%-12s %d runs: ill-formed %d, OF violations %d, strict-DAP \
-             violations %d, consistency-target violations %d%s, stalled \
-             %d@."
-            M.name iters t.wf_bad t.of_bad t.dap_bad t.cons_bad
-            (if lint then
-               Printf.sprintf ", unexpected lint findings %d" t.lint_bad
-             else "")
-            t.stalled;
-          List.iter
-            (fun path ->
-              Format.printf "  violating trace dumped to %s@." path)
-            t.dumped
-        end)
-      (impls_of tm);
-    let jsonl =
-      String.concat ""
-        (List.rev_map (fun j -> Obs_json.to_string j ^ "\n") !json_lines)
+            ])
+        (impls_of tm)
     in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl;
+    emit out (jsonl_of rows);
     if !violations > 0 then begin
-      if not json then
+      if not out.json then
         Format.printf "%d contract violation(s) found@." !violations;
       Reason.exit_with
         (Reason.Contract_violation
@@ -899,8 +894,9 @@ let fuzz_cmd =
           is dumped as a replayable trace for `pcl_tm explain'; with \
           $(b,--lint) the pclsan trace passes run on every execution and \
           findings outside the TM's expected set count as violations.")
-    Term.(const run $ tm_arg $ iters $ seed $ record_arg $ dump_dir_arg
-          $ lint_flag $ json $ output $ watch_arg)
+    Term.(
+      const run $ tm_arg $ iters $ seed_arg "RNG seed." $ dump_arg
+      $ lint_flag $ out_arg $ watch_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explain: replay a dumped trace artifact — render its timeline with the
@@ -1103,14 +1099,6 @@ let lint_cmd =
              e.g. $(b,-p tor) for torn-snapshot).  Default: all trace \
              passes, plus figure-consistency when linting live TMs.")
   in
-  let all_tms =
-    Arg.(
-      value & flag
-      & info [ "all-tms" ]
-          ~doc:
-            "Lint live runs of every TM in the registry (the default when \
-             no TRACE and no $(b,-t) is given).")
-  in
   let horizon =
     Arg.(
       value & opt int Lint.default.Lint.horizon
@@ -1134,34 +1122,16 @@ let lint_cmd =
       value & opt int Lint.default.Lint.max_findings
       & info [ "max-findings" ] ~docv:"N" ~doc:"Findings reported per pass.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit findings as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL export to $(docv).")
-  in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Seed of the live recorded workload runs (ignored when \
-             linting TRACE files, which carry their own seed in their \
-             meta).")
+    seed_arg
+      "Seed of the live recorded workload runs (ignored when linting \
+       TRACE files, which carry their own seed in their meta)."
   in
   let run tm traces pass_filter all_tms horizon connectivity max_findings
-      seed json output watch =
+      seed out watch =
     let config =
       { Lint.horizon; dap_connectivity = connectivity; max_findings }
     in
-    (* one watch tick per lint target (trace file or live TM run) *)
-    let w = make_watch ~enabled:watch ~label:"lint" ~every:1 in
     let chosen ~default =
       match pass_filter with
       | [] -> default
@@ -1173,9 +1143,9 @@ let lint_cmd =
     (* first unexpected progress-guarantee finding, kept whole so the exit
        can go through PCL-E109 with a step-level witness *)
     let progress_failure = ref None in
-    let lint_one ~target (input : Lint.input) passes =
+    let lint_one ~tick ~target (input : Lint.input) passes =
       let res = Lints.run_passes ~config passes input in
-      watch_tick w;
+      tick ();
       findings_total := !findings_total + List.length res.Lints.findings;
       unexpected_total := !unexpected_total + List.length res.Lints.unexpected;
       unexpected_passes :=
@@ -1206,7 +1176,7 @@ let lint_cmd =
                     Option.map Tid.to_int txn,
                     witness_step ))
         res.Lints.unexpected;
-      if not json then begin
+      if not out.json then begin
         Format.printf "== %s (tm: %s)@." target
           (Option.value ~default:"unknown" res.Lints.tm);
         if res.Lints.findings = [] then
@@ -1257,19 +1227,6 @@ let lint_cmd =
              res.Lints.findings
         |> List.append !json_lines
     in
-    List.iter
-      (fun file ->
-        match Flight.load file with
-        | Error msg -> Fmt.failwith "cannot load %s: %s" file msg
-        | Ok fl ->
-            lint_one ~target:file
-              (Lint.input_of_flight fl)
-              (chosen
-                 ~default:
-                   (Lint_passes.trace_passes
-                   @ [ Progress_lint.progressiveness ]
-                   @ Lint.registered ())))
-      traces;
     let impls =
       if all_tms then Registry.all
       else
@@ -1277,37 +1234,41 @@ let lint_cmd =
         | Some _ -> impls_of tm
         | None -> if traces = [] then Registry.all else []
     in
-    List.iter
-      (fun impl ->
-        let (module M : Tm_intf.S) = impl in
-        let fl = Flight.create () in
-        Flight.with_recorder fl (fun () ->
-            ignore
-              (Workload.run impl
-                 {
-                   Workload.default with
-                   Workload.conflict_pct = 50;
-                   txns_per_proc = 10;
-                   seed;
-                 }));
-        lint_one
-          ~target:(Printf.sprintf "workload:%s" M.name)
-          { (Lint.input_of_flight fl) with Lint.tm = Some M.name }
-          (chosen ~default:(Lints.all ())))
-      impls;
-    watch_finish w;
-    let jsonl =
-      String.concat ""
-        (List.map (fun j -> Obs_json.to_string j ^ "\n") !json_lines)
-    in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl
-    else
+    (* one watch tick per lint target (trace file or live TM run) *)
+    watching watch ~label:"lint" ~every:1 (fun tick ->
+        List.iter
+          (fun file ->
+            match Flight.load file with
+            | Error msg -> Fmt.failwith "cannot load %s: %s" file msg
+            | Ok fl ->
+                lint_one ~tick ~target:file
+                  (Lint.input_of_flight fl)
+                  (chosen
+                     ~default:
+                       (Lint_passes.trace_passes
+                       @ [ Progress_lint.progressiveness ]
+                       @ Lint.registered ())))
+          traces;
+        List.iter
+          (fun impl ->
+            let (module M : Tm_intf.S) = impl in
+            let fl = Flight.create () in
+            Flight.with_recorder fl (fun () ->
+                ignore
+                  (Workload.run impl
+                     {
+                       Workload.default with
+                       Workload.conflict_pct = 50;
+                       txns_per_proc = 10;
+                       seed;
+                     }));
+            lint_one ~tick
+              ~target:(Printf.sprintf "workload:%s" M.name)
+              { (Lint.input_of_flight fl) with Lint.tm = Some M.name }
+              (chosen ~default:(Lints.all ())))
+          impls);
+    emit out (jsonl_of !json_lines);
+    if not out.json then
       Format.printf "@.%d finding(s), %d unexpected@." !findings_total
         !unexpected_total;
     if !unexpected_total > 0 then
@@ -1341,24 +1302,17 @@ let lint_cmd =
           progressiveness, pwf, figure-consistency) over dumped trace \
           artifacts or live recorded runs.  Findings are classified against each \
           TM's expected set (the lint confirming what the theorem says \
-          about it); exits non-zero on any unexpected finding.")
+          about it); exits non-zero on any unexpected finding.  Without \
+          TRACE files or $(b,-t), every TM's live run is linted.")
     Term.(
-      const run $ tm_arg $ traces $ pass_filter $ all_tms $ horizon
-      $ connectivity $ max_findings $ seed $ json $ output $ watch_arg)
+      const run $ tm_arg $ traces $ pass_filter $ all_tms_arg $ horizon
+      $ connectivity $ max_findings $ seed $ out_arg $ watch_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos: fault injection x contention management, the per-TM robustness
    matrix. *)
 
 let chaos_cmd =
-  let all_tms =
-    Arg.(
-      value & flag
-      & info [ "all-tms" ]
-          ~doc:
-            "Sweep every TM in the registry (the default when no $(b,-t) \
-             is given).")
-  in
   let faults =
     Arg.(
       value & opt_all string []
@@ -1384,29 +1338,12 @@ let chaos_cmd =
              smoke size).")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Sweep seed: victim selection, fault placement and backoff \
-             jitter all derive from it, so the same seed reproduces the \
-             matrix byte for byte.")
+    seed_arg
+      "Sweep seed: victim selection, fault placement and backoff jitter \
+       all derive from it, so the same seed reproduces the matrix byte \
+       for byte."
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the matrix as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL matrix to $(docv).")
-  in
-  let run tm all_tms faults cms iters seed json output record dump_dir watch
-      =
-    let tms = if all_tms then Registry.all else impls_of tm in
+  let run tms faults cms iters seed out dump_dir watch =
     let base =
       match iters with
       | "default" -> Chaos_run.default
@@ -1426,56 +1363,42 @@ let chaos_cmd =
       match cms with [] -> Cm.all | names -> List.map Cm.find_exn names
     in
     let cfg = { base with Chaos_run.tms; faults; cms; seed } in
-    if record then ensure_dir dump_dir;
-    let artifacts = ref [] in
-    let w = make_watch ~enabled:watch ~label:"chaos" ~every:10 in
-    let cells =
-      Chaos_run.finalize cfg
-        (List.map
-           (fun (impl, klass, policy) ->
-             watch_tick w;
-             if not record then Chaos_run.run_cell cfg impl klass policy
-             else begin
-               let fl = Flight.create () in
-               let c =
-                 Flight.with_recorder fl (fun () ->
-                     Chaos_run.run_cell cfg impl klass policy)
-               in
-               Flight.set_meta fl "tm" c.Chaos_run.tm;
-               Flight.set_meta fl "fault" c.Chaos_run.fault;
-               Flight.set_meta fl "cm" c.Chaos_run.cm;
-               Flight.set_meta fl "seed" (string_of_int seed);
-               let file =
-                 Filename.concat dump_dir
-                   (Printf.sprintf "chaos-%s-%s-%s.trace.jsonl"
-                      c.Chaos_run.tm c.Chaos_run.fault c.Chaos_run.cm)
-               in
-               Flight.write_jsonl fl file;
-               artifacts := file :: !artifacts;
-               c
-             end)
-           (Chaos_run.combos cfg))
+    Option.iter ensure_dir dump_dir;
+    let cell (impl, klass, policy) =
+      match dump_dir with
+      | None -> Chaos_run.run_cell cfg impl klass policy
+      | Some dir ->
+          let fl = Flight.create () in
+          let c =
+            Flight.with_recorder fl (fun () ->
+                Chaos_run.run_cell cfg impl klass policy)
+          in
+          Flight.set_meta fl "tm" c.Chaos_run.tm;
+          Flight.set_meta fl "fault" c.Chaos_run.fault;
+          Flight.set_meta fl "cm" c.Chaos_run.cm;
+          Flight.set_meta fl "seed" (string_of_int seed);
+          Flight.write_jsonl fl
+            (Filename.concat dir
+               (Printf.sprintf "chaos-%s-%s-%s.trace.jsonl" c.Chaos_run.tm
+                  c.Chaos_run.fault c.Chaos_run.cm));
+          c
     in
-    watch_finish w;
+    let cells =
+      watching watch ~label:"chaos" ~every:10 (fun tick ->
+          Chaos_run.finalize cfg
+            (List.map
+               (fun combo ->
+                 tick ();
+                 cell combo)
+               (Chaos_run.combos cfg)))
+    in
     let violations =
       List.fold_left
         (fun acc c -> acc + c.Chaos_run.closure_violations)
         0 cells
     in
-    let jsonl =
-      String.concat ""
-        (List.map
-           (fun c -> Obs_json.to_string (Chaos_run.cell_json c) ^ "\n")
-           cells)
-    in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl
-    else begin
+    emit out (jsonl_of (List.map Chaos_run.cell_json cells));
+    if not out.json then begin
       Format.printf "%-14s %-9s %-10s %-14s %-8s %-8s %-11s %s@." "TM"
         "fault" "cm" "commits/exp" "gave-up" "skipped" "degradation" "stop";
       List.iter
@@ -1498,9 +1421,10 @@ let chaos_cmd =
         "@.%d cell(s), %d crash-closure violation(s), %d wac-adaptivity \
          witness(es)@."
         (List.length cells) violations wac;
-      if !artifacts <> [] then
-        Format.printf "recorded %d artifact(s) under %s/@."
-          (List.length !artifacts) dump_dir
+      Option.iter
+        (Format.printf "recorded %d artifact(s) under %s/@."
+           (List.length cells))
+        dump_dir
     end;
     (* an unexpected Sat -> Unsat flip under crash truncation is a checker
        bug by definition — fail the sweep so CI catches it *)
@@ -1533,34 +1457,14 @@ let chaos_cmd =
           $(b,--record), each cell dumps a replayable trace artifact that \
           `pcl_tm explain' and `pcl_tm lint' consume.")
     Term.(
-      const run $ tm_arg $ all_tms $ faults $ cms $ iters $ seed $ json
-      $ output $ record_arg $ dump_dir_arg $ watch_arg)
+      const run $ tms_arg $ faults $ cms $ iters $ seed $ out_arg $ dump_arg
+      $ watch_arg)
 
 (* ------------------------------------------------------------------ *)
 (* cost: the synchronization-cost observatory — RMR/RMW metering over
    the figure schedules and the explore sweep, per TM. *)
 
 let cost_cmd =
-  let all_tms =
-    Arg.(
-      value & flag
-      & info [ "all-tms" ]
-          ~doc:
-            "Meter every TM in the registry (the default when no $(b,-t) \
-             is given).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the cost matrix as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL matrix to $(docv).")
-  in
   let per_txn =
     Arg.(
       value & flag
@@ -1570,42 +1474,21 @@ let cost_cmd =
              workload (table mode only).")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Accepted for sweep-flag uniformity ($(b,--seed)/$(b,--json)/\
-             $(b,-o)/$(b,--watch) across every sweep subcommand).  The \
-             cost matrix derives from the fixed figure schedules and the \
-             exhaustive explore sweep, so it is seed-free: every seed \
-             yields the identical matrix.")
+    seed_arg
+      "Ignored: the cost matrix derives from the fixed figure schedules \
+       and the exhaustive explore sweep, so every seed yields the same \
+       matrix."
   in
-  let run tm all_tms json output per_txn _seed watch =
-    let impls = if all_tms then Registry.all else impls_of tm in
+  let run impls out per_txn _seed watch =
     let rows =
       List.concat_map
         (fun impl ->
-          let w =
-            make_watch ~enabled:watch
-              ~label:("cost:" ^ Registry.name impl)
-              ~every:200
-          in
-          let rows =
-            Cost_run.rows_for ~on_execution:(fun () -> watch_tick w) impl
-          in
-          watch_finish w;
-          rows)
+          watching watch ~label:("cost:" ^ Registry.name impl) ~every:200
+            (fun on_execution -> Cost_run.rows_for ~on_execution impl))
         impls
     in
-    let jsonl = Cost_run.to_jsonl rows in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl
-    else begin
+    emit out (Cost_run.to_jsonl rows);
+    if not out.json then begin
       Format.printf "%a@." Cost_run.pp_table rows;
       if per_txn then
         List.iter
@@ -1642,9 +1525,7 @@ let cost_cmd =
           Deterministic: the JSONL is byte-identical across runs.  Exits \
           non-zero when the observed matrix violates the expected-cost \
           (\"PCL tax\") table or a universal cost law.")
-    Term.(
-      const run $ tm_arg $ all_tms $ json $ output $ per_txn $ seed
-      $ watch_arg)
+    Term.(const run $ tms_arg $ out_arg $ per_txn $ seed $ watch_arg)
 
 (* ------------------------------------------------------------------ *)
 (* soak: million-transaction endurance runs with continuous phase
@@ -1661,14 +1542,6 @@ let soak_cmd =
       & info [ "n"; "txns" ] ~docv:"N"
           ~doc:"Committed-transaction target per TM.")
   in
-  let all_tms =
-    Arg.(
-      value & flag
-      & info [ "all-tms" ]
-          ~doc:
-            "Soak every TM in the registry (the default when no $(b,-t) \
-             is given).")
-  in
   let procs =
     Arg.(
       value & opt int Soak.default.Soak.n_procs
@@ -1679,11 +1552,6 @@ let soak_cmd =
       value & opt int Soak.default.Soak.conflict_pct
       & info [ "conflict" ] ~docv:"PCT"
           ~doc:"Probability (0..100) a transaction touches shared items.")
-  in
-  let seed =
-    Arg.(
-      value & opt int Soak.default.Soak.seed
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Base RNG seed.")
   in
   let segment =
     Arg.(
@@ -1709,49 +1577,29 @@ let soak_cmd =
             "Steps between observer ticks (watch snapshots, GC \
              samples); tick boundaries are deterministic.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the soak/perf records as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL records to $(docv).")
-  in
   let profile_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile" ] ~docv:"FILE"
-          ~doc:
-            "Write the aggregated phase profile as collapsed stacks \
-             (flamegraph.pl / speedscope input) to $(docv).")
+    file_arg
+      (Arg.info [ "profile" ] ~docv:"FILE"
+         ~doc:
+           "Write the aggregated phase profile as collapsed stacks \
+            (flamegraph.pl / speedscope input) to $(docv).")
   in
   let chrome_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ] ~docv:"FILE"
-          ~doc:
-            "Write the phase spans as a Chrome trace-event file (load \
-             via chrome://tracing or Perfetto) to $(docv).")
+    file_arg
+      (Arg.info [ "chrome" ] ~docv:"FILE"
+         ~doc:
+           "Write the phase spans as a Chrome trace-event file (load via \
+            chrome://tracing or Perfetto) to $(docv).")
   in
   let gc_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "gc" ] ~docv:"FILE"
-          ~doc:
-            "Write per-tick GC/allocation samples as JSONL to $(docv) \
-             (the closing perf record is always emitted on the main \
-             stream).")
+    file_arg
+      (Arg.info [ "gc" ] ~docv:"FILE"
+         ~doc:
+           "Write per-tick GC/allocation samples as JSONL to $(docv) (the \
+            closing perf record is always emitted on the main stream).")
   in
-  let run tm all_tms txns procs conflict seed segment budget tick json
-      output profile_file chrome_file gc_file watch =
-    let impls = if all_tms then Registry.all else impls_of tm in
+  let run impls txns procs conflict seed segment budget tick out
+      profile_file chrome_file gc_file watch =
     let profiling = profile_file <> None || chrome_file <> None in
     let tracer = Sink.tracer Sink.default in
     let prof = Prof.create () in
@@ -1775,13 +1623,10 @@ let soak_cmd =
               tick_steps = tick;
             }
           in
-          let w =
-            make_watch ~enabled:watch ~label:("soak:" ^ M.name) ~every:10
-          in
           let gcm = Gcstat.create () in
           if profiling then Span.reset tracer;
-          let on_tick (p : Soak.progress) =
-            watch_tick w;
+          let on_tick progress (p : Soak.progress) =
+            progress ();
             let s =
               Gcstat.sample gcm
                 ~tick:(p.Soak.steps / max 1 tick)
@@ -1817,12 +1662,15 @@ let soak_cmd =
               Span.reset tracer
             end
           in
-          let t0 = Unix.gettimeofday () in
-          let o = Soak.run ~on_tick ~on_segment impl cfg in
-          let wall_ns =
-            int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+          let o, wall_ns =
+            watching watch ~label:("soak:" ^ M.name) ~every:10
+              (fun progress ->
+                let t0 = Unix.gettimeofday () in
+                let o =
+                  Soak.run ~on_tick:(on_tick progress) ~on_segment impl cfg
+                in
+                (o, int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)))
           in
-          watch_finish w;
           let p = o.Soak.progress in
           (* the byte-deterministic totals line *)
           lines :=
@@ -1854,7 +1702,7 @@ let soak_cmd =
                 Obs_json.Obj (fields @ [ ("tm", Obs_json.String M.name) ])
                 :: !lines
           | j -> lines := j :: !lines);
-          if not json then begin
+          if not out.json then begin
             Format.printf "soak %-12s %d/%d txns (%d aborts) in %d steps, \
                            %d segments [%s]@."
               M.name p.Soak.txns_done txns p.Soak.aborts p.Soak.steps
@@ -1884,40 +1732,21 @@ let soak_cmd =
                      })
         end)
       impls;
-    let jsonl =
-      String.concat ""
-        (List.rev_map (fun j -> Obs_json.to_string j ^ "\n") !lines)
-    in
-    (match output with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc jsonl;
-        close_out oc
-    | None -> ());
-    if json then print_string jsonl;
-    (match profile_file with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc (Prof.to_collapsed ~metric:Prof.Wall_ns prof);
-        close_out oc;
-        if not json then Format.printf "@.%a@." Prof.pp prof
-    | None -> ());
-    (match chrome_file with
-    | Some f ->
-        let oc = open_out f in
-        output_string oc
+    emit out (jsonl_of (List.rev !lines));
+    Option.iter
+      (fun oc ->
+        write_file oc (Prof.to_collapsed ~metric:Prof.Wall_ns prof);
+        if not out.json then Format.printf "@.%a@." Prof.pp prof)
+      profile_file;
+    Option.iter
+      (fun oc ->
+        write_file oc
           (Obs_json.to_string
-             (Prof.spans_to_chrome (List.rev !chrome_spans)));
-        close_out oc
-    | None -> ());
-    (match gc_file with
-    | Some f ->
-        let oc = open_out f in
-        List.iter
-          (fun j -> output_string oc (Obs_json.to_string j ^ "\n"))
-          (List.rev !gc_lines);
-        close_out oc
-    | None -> ());
+             (Prof.spans_to_chrome (List.rev !chrome_spans))))
+      chrome_file;
+    Option.iter
+      (fun oc -> write_file oc (jsonl_of (List.rev !gc_lines)))
+      gc_file;
     match !first_stall with
     | Some r -> Reason.exit_with r
     | None -> ()
@@ -1936,9 +1765,9 @@ let soak_cmd =
           machine-readable PCL-E108 reason line naming the wedged \
           process, step and object, and a nonzero exit.")
     Term.(
-      const run $ tm_arg $ all_tms $ txns $ procs $ conflict $ seed
-      $ segment $ budget $ tick $ json $ output $ profile_arg
-      $ chrome_arg $ gc_arg $ watch_arg)
+      const run $ tms_arg $ txns $ procs $ conflict
+      $ seed_arg "Base RNG seed." $ segment $ budget $ tick $ out_arg $ profile_arg $ chrome_arg $ gc_arg
+      $ watch_arg)
 
 (* ------------------------------------------------------------------ *)
 (* conform: the scenario catalogue — run every scenario's TM x CM cells
@@ -1979,25 +1808,9 @@ let conform_cmd =
           ~doc:"Run only this scenario id (repeatable).")
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Sweep seed: per-cell sub-seeds derive from it and the \
-             scenario id, so the same seed reproduces the run byte for \
-             byte.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the conformance rows as JSONL on stdout.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL rows to $(docv).")
+    seed_arg
+      "Sweep seed: per-cell sub-seeds derive from it and the scenario id, \
+       so the same seed reproduces the run byte for byte."
   in
   let cells_flag =
     Arg.(
@@ -2054,7 +1867,7 @@ let conform_cmd =
              to a handful of steps, forcing a budget-exhaustion (timeout) \
              failure attributed to that cell.")
   in
-  let run tm files dir _all scenario_filter seed json output cells_flag
+  let run tm files dir _all scenario_filter seed out cells_flag
       journal_file resume check_only list_only inject_crash inject_stall
       watch =
     let scenarios =
@@ -2123,112 +1936,98 @@ let conform_cmd =
               Hashtbl.replace reusable id line
             else Hashtbl.remove reusable id)
           (Scenario_run.journal_load journal_file);
-      let journal =
-        open_out_gen
-          (if resume then [ Open_append; Open_creat ]
-           else [ Open_wronly; Open_trunc; Open_creat ])
-          0o644 journal_file
-      in
-      let w = make_watch ~enabled:watch ~label:"conform" ~every:10 in
+      let journal = open_file ~append:resume journal_file in
       let lines = ref [] in
       let failed = ref [] and timeouts = ref [] in
       let quarantined = ref 0 and total_cells = ref 0 and reused = ref 0 in
       let table = ref [] in
-      List.iter
-        (fun s ->
-          let id = s.Scenario.id in
-          match Hashtbl.find_opt reusable id with
-          | Some line ->
-              incr reused;
-              lines := (line ^ "\n") :: !lines;
-              let status, cells =
-                match Obs_json.parse line with
-                | Ok j ->
-                    ( Option.value ~default:"pass"
-                        (Option.bind (Obs_json.member "status" j)
-                           Obs_json.to_str),
-                      Option.value ~default:0
-                        (Option.bind (Obs_json.member "cells" j)
-                           Obs_json.to_int) )
-                | Error _ -> ("pass", 0)
-              in
-              if status = "quarantine" then incr quarantined;
-              total_cells := !total_cells + cells;
-              table := (id, status, cells, 0, true) :: !table
-          | None ->
-              let inject =
-                if inject_crash = Some id then Scenario_run.Inject_crash
-                else if inject_stall = Some id then Scenario_run.Inject_stall
-                else Scenario_run.No_inject
-              in
-              let cell_lines = ref [] in
-              let row = Scenario_run.run_row ~tick:(fun () -> watch_tick w)
-                  ~inject ~seed s
-              in
-              if cells_flag then begin
-                (* re-run cells are not re-executed here: cell rows ride
-                   the same sweep, rendered from the row's failures plus
-                   the passing cell list *)
-                let failures = row.Scenario_run.failures in
-                List.iter
-                  (fun (impl, policy) ->
-                    let tm = Registry.name impl in
-                    let cm = policy.Cm.name in
-                    let c =
-                      match
-                        List.find_opt
-                          (fun (f : Scenario_run.cell) ->
-                            f.Scenario_run.tm = tm
-                            && f.Scenario_run.cm = cm)
-                          failures
-                      with
-                      | Some f -> f
-                      | None ->
-                          {
-                            Scenario_run.tm;
-                            cm;
-                            reason = None;
-                            detail = "";
-                          }
-                    in
-                    cell_lines :=
-                      (Obs_json.to_string (Scenario_run.cell_json ~id c)
-                      ^ "\n")
-                      :: !cell_lines)
-                  (Scenario_run.cells_of s)
-              end;
-              let line = Obs_json.to_string (Scenario_run.row_json row) in
-              output_string journal (line ^ "\n");
-              flush journal;
-              lines := (line ^ "\n") :: List.rev_append !cell_lines !lines;
-              if row.Scenario_run.status = "fail" then begin
-                failed := id :: !failed;
-                if
-                  List.exists
-                    (fun (f : Scenario_run.cell) ->
-                      f.Scenario_run.reason = Some "timeout")
-                    row.Scenario_run.failures
-                then timeouts := id :: !timeouts
-              end;
-              if row.Scenario_run.status = "quarantine" then
-                incr quarantined;
-              total_cells := !total_cells + row.Scenario_run.cells;
-              table :=
-                (id, row.Scenario_run.status, row.Scenario_run.cells,
-                 row.Scenario_run.failed, false)
-                :: !table)
-        scenarios;
+      watching watch ~label:"conform" ~every:10 (fun tick ->
+          List.iter
+            (fun s ->
+              let id = s.Scenario.id in
+              match Hashtbl.find_opt reusable id with
+              | Some line ->
+                  incr reused;
+                  lines := (line ^ "\n") :: !lines;
+                  let status, cells =
+                    match Obs_json.parse line with
+                    | Ok j ->
+                        ( Option.value ~default:"pass"
+                            (Option.bind (Obs_json.member "status" j)
+                               Obs_json.to_str),
+                          Option.value ~default:0
+                            (Option.bind (Obs_json.member "cells" j)
+                               Obs_json.to_int) )
+                    | Error _ -> ("pass", 0)
+                  in
+                  if status = "quarantine" then incr quarantined;
+                  total_cells := !total_cells + cells;
+                  table := (id, status, cells, 0, true) :: !table
+              | None ->
+                  let inject =
+                    if inject_crash = Some id then Scenario_run.Inject_crash
+                    else if inject_stall = Some id then
+                      Scenario_run.Inject_stall
+                    else Scenario_run.No_inject
+                  in
+                  let cell_lines = ref [] in
+                  let row = Scenario_run.run_row ~tick ~inject ~seed s in
+                  if cells_flag then begin
+                    (* re-run cells are not re-executed here: cell rows ride
+                       the same sweep, rendered from the row's failures plus
+                       the passing cell list *)
+                    let failures = row.Scenario_run.failures in
+                    List.iter
+                      (fun (impl, policy) ->
+                        let tm = Registry.name impl in
+                        let cm = policy.Cm.name in
+                        let c =
+                          match
+                            List.find_opt
+                              (fun (f : Scenario_run.cell) ->
+                                f.Scenario_run.tm = tm
+                                && f.Scenario_run.cm = cm)
+                              failures
+                          with
+                          | Some f -> f
+                          | None ->
+                              {
+                                Scenario_run.tm;
+                                cm;
+                                reason = None;
+                                detail = "";
+                              }
+                        in
+                        cell_lines :=
+                          (Obs_json.to_string (Scenario_run.cell_json ~id c)
+                          ^ "\n")
+                          :: !cell_lines)
+                      (Scenario_run.cells_of s)
+                  end;
+                  let line = Obs_json.to_string (Scenario_run.row_json row) in
+                  output_string journal (line ^ "\n");
+                  flush journal;
+                  lines := (line ^ "\n") :: List.rev_append !cell_lines !lines;
+                  if row.Scenario_run.status = "fail" then begin
+                    failed := id :: !failed;
+                    if
+                      List.exists
+                        (fun (f : Scenario_run.cell) ->
+                          f.Scenario_run.reason = Some "timeout")
+                        row.Scenario_run.failures
+                    then timeouts := id :: !timeouts
+                  end;
+                  if row.Scenario_run.status = "quarantine" then
+                    incr quarantined;
+                  total_cells := !total_cells + row.Scenario_run.cells;
+                  table :=
+                    (id, row.Scenario_run.status, row.Scenario_run.cells,
+                     row.Scenario_run.failed, false)
+                    :: !table)
+            scenarios);
       close_out journal;
-      watch_finish w;
-      let jsonl = String.concat "" (List.rev !lines) in
-      (match output with
-      | Some f ->
-          let oc = open_out f in
-          output_string oc jsonl;
-          close_out oc
-      | None -> ());
-      if json then print_string jsonl
-      else begin
+      emit out (String.concat "" (List.rev !lines));
+      if not out.json then begin
         Format.printf "%-32s %-11s %5s %6s@." "scenario" "status" "cells"
           "failed";
         List.iter
@@ -2268,7 +2067,7 @@ let conform_cmd =
           ids) when any non-quarantined scenario fails.")
     Term.(
       const run $ tm_arg $ files $ dir $ all $ scenario_filter $ seed
-      $ json $ output $ cells_flag $ journal_arg $ resume $ check_only
+      $ out_arg $ cells_flag $ journal_arg $ resume $ check_only
       $ list_only $ inject_crash $ inject_stall $ watch_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -2326,23 +2125,7 @@ let report_cmd =
       & info [ "n"; "iterations" ] ~docv:"N"
           ~doc:"Iterations (fuzz runs / txns per process).")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the sink as JSONL on stdout instead of a table.")
-  in
-  let output =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Also write the JSONL export to $(docv).")
-  in
-  let run tm workload iters seed json output =
+  let run tm workload iters seed out =
     let impls = impls_of tm in
     let sink = Sink.default in
     Sink.reset sink;
@@ -2355,9 +2138,9 @@ let report_cmd =
       | Some _, [ (module M : Tm_intf.S) ] -> M.name
       | _ -> "all");
     List.iter (report_drive workload ~iters ~seed) impls;
-    (match output with Some f -> Sink.write_jsonl sink f | None -> ());
-    if json then print_string (Sink.to_jsonl sink)
-    else if output = None then Format.printf "%a@." Sink.pp_table sink
+    emit out (Sink.to_jsonl sink);
+    if not out.json && out.file = None then
+      Format.printf "%a@." Sink.pp_table sink
   in
   Cmd.v
     (Cmd.info "report"
@@ -2365,7 +2148,8 @@ let report_cmd =
          "Run a workload with the telemetry sink enabled and report the \
           aggregated counters, histograms and spans — as a table, as JSONL \
           on stdout ($(b,--json)), or to a file ($(b,-o)).")
-    Term.(const run $ tm_arg $ workload $ iters $ seed $ json $ output)
+    Term.(
+      const run $ tm_arg $ workload $ iters $ seed_arg "RNG seed." $ out_arg)
 
 (* The exit funnel: every nonzero exit leaves through here with exactly
    one machine-readable reason line on stderr.  Commands raise

@@ -137,25 +137,10 @@ let run_cell (cfg : cfg) (impl : Tm_intf.impl) (klass : Fault.klass)
     in
     List.map (fun pid -> (pid, client pid)) pids
   in
-  let atoms =
-    List.concat
-      (List.init cfg.rounds (fun r ->
-           inst.Fault.inject ~round:r
-           @ List.map (fun pid -> Schedule.Steps (pid, cfg.quantum)) pids))
-    @ List.map (fun pid -> Schedule.Until_done pid) pids
+  let r =
+    Fault.drive inst ~pids ~rounds:cfg.rounds ~quantum:cfg.quantum
+      ~budget:cfg.budget setup
   in
-  (* drive the script through a live cursor, stopping at the first
-     halting atom (a halted session would no-op the tail anyway — the
-     incremental engine just skips the wasted walk); [~schedule:atoms]
-     keeps the artifact metadata recording the full script, as a
-     whole-schedule replay always did *)
-  let c = Sim.start ~budget:cfg.budget setup in
-  let rec drive = function
-    | [] -> ()
-    | a :: rest -> if (Sim.apply c a).Schedule.halted then () else drive rest
-  in
-  drive atoms;
-  let r = Sim.snapshot ~schedule:atoms c in
   let crash_steps = List.map snd r.Sim.report.Schedule.crashes in
   let last = Access_log.length r.Sim.log in
   (* the ">12 txn core skipped" counter, read as a delta so the cell can

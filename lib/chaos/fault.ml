@@ -123,3 +123,23 @@ let instantiate (klass : klass) ~(seed : int) ~(pids : int list)
             if List.mem round hits then [ Schedule.Poison victim ] else []);
         hook = None;
       }
+
+let drive inst ~pids ~rounds ~quantum ~budget setup =
+  let atoms =
+    List.concat
+      (List.init rounds (fun r ->
+           inst.inject ~round:r
+           @ List.map (fun pid -> Schedule.Steps (pid, quantum)) pids))
+    @ List.map (fun pid -> Schedule.Until_done pid) pids
+  in
+  (* a live cursor instead of a whole-schedule replay: stop at the first
+     halting atom (a halted session would no-op the tail anyway), while
+     [~schedule:atoms] keeps the artifact metadata recording the full
+     script, as a replay would *)
+  let c = Sim.start ~budget setup in
+  let rec go = function
+    | [] -> ()
+    | a :: rest -> if not (Sim.apply c a).Schedule.halted then go rest
+  in
+  go atoms;
+  Sim.snapshot ~schedule:atoms c

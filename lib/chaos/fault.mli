@@ -34,3 +34,17 @@ val spurious_window : int
     sized to outlast impatient retry policies. *)
 
 val instantiate : klass -> seed:int -> pids:int list -> rounds:int -> instance
+
+val drive :
+  instance ->
+  pids:int list ->
+  rounds:int ->
+  quantum:int ->
+  budget:int ->
+  Sim.setup ->
+  Sim.result
+(** Run [setup] under the plan's script: [rounds] round-robin rounds of
+    [quantum] steps per process, each led by the plan's fault atoms for
+    that round, then every process until done ([budget] steps each).
+    Stops at the first halting atom; the result still records the full
+    script. *)

@@ -90,7 +90,8 @@ let catalogue =
   [
     ("PCL-E000", "internal error: an unexpected exception escaped");
     ("PCL-E001", "command-line error: cmdliner rejected the invocation");
-    ("PCL-E002", "invalid input: unknown name, bad schedule or parse error");
+    ("PCL-E002", "invalid input: unknown name, bad schedule, parse error \
+                  or unwritable output path");
     ("PCL-E101", "exploration found executions satisfying no consistency \
                   condition");
     ("PCL-E102", "fuzzing found TM contract violations");

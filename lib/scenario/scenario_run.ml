@@ -76,23 +76,10 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
       Scenario_gen.setup s ~impl ~policy ~seed ~commits ~gave_up
         ~fault_hook:inst.Fault.hook
     in
-    let atoms =
-      List.concat
-        (List.init s.Scenario.rounds (fun r ->
-             inst.Fault.inject ~round:r
-             @ List.map
-                 (fun pid -> Schedule.Steps (pid, s.Scenario.quantum))
-                 pids))
-      @ List.map (fun pid -> Schedule.Until_done pid) pids
+    let r =
+      Fault.drive inst ~pids ~rounds:s.Scenario.rounds
+        ~quantum:s.Scenario.quantum ~budget setup
     in
-    let c = Sim.start ~budget setup in
-    let rec drive = function
-      | [] -> ()
-      | a :: rest ->
-          if (Sim.apply c a).Schedule.halted then () else drive rest
-    in
-    drive atoms;
-    let r = Sim.snapshot ~schedule:atoms c in
     let stop = r.Sim.report.Schedule.stop in
     (* an injected stall is always held to "completed": the forced budget
        exhaustion must surface as a timeout failure *)
