@@ -17,14 +17,15 @@
      much a progressiveness violation as an unattributable abort).
 
    - pwf (partial wait-freedom) — probe-driven, like figure-consistency:
-     the input only names a TM, which is then replayed against scripted
-     branch scans.  Probe (a) suspends a conflicting writer at every
-     depth of its solo run and requires the read-only transaction to
-     commit solo — a TM that forcibly aborts an uncontended read-only
-     transaction, aborts it over a passive suspended writer, or stalls
-     it, is not partially wait-free.  Probe (b) runs reader vs updater
-     under fair round-robin contention: any read-only abort refutes the
-     wait-freedom of readers.  The per-role classification (read-only
+     the input only names a TM, which is then replayed against the
+     shared probes of {!Tm_probe.Progress}.  Probe (a) is the suspension
+     scan: it suspends a conflicting writer at every depth of its solo
+     run and requires the read-only transaction to commit solo — a TM
+     that forcibly aborts an uncontended read-only transaction, aborts it
+     over a passive suspended writer, or stalls it, is not partially
+     wait-free.  Probe (b) runs reader vs updater under the round-robin
+     contention driver: any read-only abort refutes the wait-freedom of
+     readers.  The per-role classification (read-only
      vs updating transactions, each wait-free / lock-free /
      obstruction-free / blocking) is emitted as an always-expected Info
      finding, with the updater side delegated to the
@@ -33,7 +34,6 @@
 open Tm_base
 open Tm_trace
 open Tm_impl
-open Tm_runtime
 open Lint
 
 let cap (cfg : config) findings =
@@ -209,54 +209,27 @@ let spec tid pid reads writes =
     writes = List.map (fun (i, v) -> (i, Value.int v)) writes;
   }
 
-let static_setup impl specs outcomes : Sim.setup =
- fun mem recorder ->
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-  in
-  List.map
-    (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-    specs
-
 type reader_outcome =
   | Reader_wait_free
   | Reader_aborts of int  (** suspension depth of the passive writer *)
   | Reader_stalls of int
 
-(* probe (a): branch scan over writer suspension depths.  The writer
+(* probe (a): the suspension scan's first non-commit.  The writer
    (writes x and y) is paused after its k-th solo step for every k, and
    the read-only transaction (reads x then y) must then commit running
    solo.  k = 0 is the fully uncontended case. *)
 let reader_scan (cfg : config) impl : reader_outcome =
   let writer = spec 21 21 [] [ (x_item, 7); (y_item, 7) ]
   and reader = spec 23 23 [ x_item; y_item ] [] in
-  let specs = [ writer; reader ] in
-  let solo_outcomes = Hashtbl.create 4 in
-  let solo =
-    Sim.replay ~budget:5_000
-      (static_setup impl specs solo_outcomes)
-      [ Schedule.Until_done 21 ]
-  in
-  let n = solo.Sim.steps_of 21 in
-  let budget = 3 * cfg.horizon in
-  let rec go k =
-    if k > n then Reader_wait_free
-    else begin
-      let outcomes = Hashtbl.create 4 in
-      let r =
-        Sim.replay ~budget
-          (static_setup impl specs outcomes)
-          [ Schedule.Steps (21, k); Schedule.Steps (23, budget) ]
-      in
-      ignore r;
-      match Hashtbl.find_opt outcomes (Tid.v 23) with
-      | Some o when o.Static_txn.status = Static_txn.Committed -> go (k + 1)
-      | Some o when o.Static_txn.status = Static_txn.Aborted ->
-          Reader_aborts k
-      | _ -> Reader_stalls k
-    end
-  in
-  go 0
+  match
+    Seq.find
+      (fun (_, o) -> o <> Tm_probe.Progress.Commit)
+      (Tm_probe.Progress.scan ~budget:(3 * cfg.horizon) impl ~enemy:writer
+         ~probe:reader)
+  with
+  | None -> Reader_wait_free
+  | Some (k, Tm_probe.Progress.Abort) -> Reader_aborts k
+  | Some (k, _) -> Reader_stalls k
 
 (* probe (b): reader vs updater under fair round-robin contention; count
    the read-only aborts.  Bounded and deterministic. *)
@@ -301,29 +274,16 @@ let updater_client (handle : Txn_api.handle) ~pid ~committed () =
   attempt 0
 
 let reader_aborts_under_contention impl : int =
-  let rc = ref 0 and uc = ref 0 in
-  let mem = Memory.create () in
-  let recorder = Recorder.create () in
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:[ x_item; y_item ]
+  let h =
+    Tm_probe.Progress.round_robin (fun mem recorder ->
+        let handle =
+          Txn_api.instantiate impl mem recorder ~items:[ x_item; y_item ]
+        in
+        [
+          (1, reader_client handle ~pid:1 ~committed:(ref 0));
+          (2, updater_client handle ~pid:2 ~committed:(ref 0));
+        ])
   in
-  let sched = Scheduler.create mem in
-  Scheduler.spawn sched ~pid:1 (reader_client handle ~pid:1 ~committed:rc);
-  Scheduler.spawn sched ~pid:2 (updater_client handle ~pid:2 ~committed:uc);
-  let steps = ref 0 in
-  while
-    !steps < 5_000
-    && not (Scheduler.finished sched 1 && Scheduler.finished sched 2)
-  do
-    List.iter
-      (fun pid ->
-        if not (Scheduler.finished sched pid) then begin
-          ignore (Scheduler.step sched pid);
-          incr steps
-        end)
-      [ 1; 2 ]
-  done;
-  let h = Recorder.history recorder in
   List.length
     (List.filter
        (fun t -> Tid.to_int t < 2000 && History.aborted h t)
@@ -377,7 +337,7 @@ let check (cfg : config) (impl : Tm_intf.impl) : finding list =
   let contention_aborts = reader_aborts_under_contention impl in
   let contention_findings =
     if contention_aborts = 0 || scan <> Reader_wait_free then []
-      (* when the branch scan already refuted reader wait-freedom, the
+      (* when the suspension scan already refuted reader wait-freedom, the
          contention count is the same defect observed twice *)
     else
       [

@@ -9,13 +9,14 @@
     (from the history's invoked/effective data sets), and every
     step-contention-free transaction must commit within the horizon.
 
-    [pwf] is probe-driven (the input only names a TM): a branch scan
-    suspends a conflicting writer at every depth of its solo run and
-    requires the read-only transaction to commit solo, then a fair
-    round-robin contention probe counts read-only aborts.  Failures are
-    [Error] findings with the suspension depth as the step-level witness;
-    the per-role classification (read-only vs updating transactions) is
-    an always-expected [Info] finding, with the updater side delegated to
+    [pwf] is probe-driven (the input only names a TM): the suspension
+    scan of {!Tm_probe.Progress} suspends a conflicting writer at every
+    depth of its solo run and requires the read-only transaction to
+    commit solo, then a fair round-robin contention probe counts
+    read-only aborts.  Failures are [Error] findings with the suspension
+    depth as the step-level witness; the per-role classification
+    (read-only vs updating transactions) is an always-expected [Info]
+    finding, with the updater side delegated to
     {!Tm_probe.Liveness_class}. *)
 
 open Tm_impl
@@ -33,10 +34,13 @@ type reader_outcome =
   | Reader_stalls of int
 
 val reader_scan : Lint.config -> Tm_intf.impl -> reader_outcome
-(** The branch scan behind [pwf]'s probe (a), exposed for tests. *)
+(** [pwf]'s probe (a): the first non-commit of {!Tm_probe.Progress.scan}
+    (writer T21 of x and y, read-only T23 of x then y, probe budget
+    [3 * cfg.horizon]), exposed for tests. *)
 
 val reader_aborts_under_contention : Tm_intf.impl -> int
-(** Probe (b): read-only aborts under fair round-robin contention. *)
+(** Probe (b): read-only aborts under {!Tm_probe.Progress.round_robin}
+    contention with an updater. *)
 
 val passes : Lint.pass list
 (** [[progressiveness; pwf]], in registration order. *)

@@ -16,17 +16,7 @@ let default_budget = 50_000
 (** Replay [schedule] from C0 with all seven transactions spawned. *)
 let run ?(budget = default_budget) (impl : Tm_intf.impl)
     (schedule : Schedule.atom list) : run =
-  let outcomes = Hashtbl.create 16 in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:Txns.items
-    in
-    List.map
-      (fun s ->
-        (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      Txns.specs
-  in
-  let sim = Sim.replay ~budget setup schedule in
+  let sim, outcomes = Static_txn.run ~budget impl Txns.specs schedule in
   { sim; outcomes }
 
 let outcome r tid = Hashtbl.find_opt r.outcomes tid

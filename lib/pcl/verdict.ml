@@ -35,20 +35,6 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Dedicated scenarios *)
 
-let scenario_run ?(budget = 2_000) (impl : Tm_intf.impl)
-    (specs : Static_txn.spec list) (schedule : Schedule.atom list) :
-    Sim.result * (Tid.t, Static_txn.outcome) Hashtbl.t =
-  let outcomes = Hashtbl.create 8 in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-    in
-    List.map
-      (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      specs
-  in
-  (Sim.replay ~budget setup schedule, outcomes)
-
 let x_item = Item.v "x"
 let y_item = Item.v "y"
 
@@ -64,7 +50,7 @@ let disjoint_pair_violations impl =
     ]
   in
   let sim, _ =
-    scenario_run impl specs
+    Static_txn.run ~budget:2_000 impl specs
       [ Schedule.Until_done 11; Schedule.Until_done 12 ]
   in
   Tm_dap.Strict_dap.violations
@@ -87,53 +73,18 @@ let chain_violations impl =
     ]
   in
   (* how many solo steps does Tb need? *)
-  let solo, _ = scenario_run impl specs [ Schedule.Until_done 12 ] in
+  let solo, _ =
+    Static_txn.run ~budget:2_000 impl specs [ Schedule.Until_done 12 ]
+  in
   let n = solo.Sim.steps_of 12 in
   let sim, _ =
-    scenario_run impl specs
+    Static_txn.run ~budget:2_000 impl specs
       [ Schedule.Steps (12, max 0 (n - 1)); Schedule.Until_done 11;
         Schedule.Until_done 13 ]
   in
   Tm_dap.Strict_dap.violations
     ~data_sets:(Static_txn.data_sets specs)
     sim.Sim.log
-
-(** Solo progress under a suspended conflicting enemy: Tb (writes x,y)
-    suspended mid-commit; Ta (writes x) must still finish solo if the TM is
-    obstruction-free. *)
-let suspended_enemy_progress impl : (unit, string) result =
-  let specs =
-    [
-      { Static_txn.tid = Tid.v 11; pid = 11; reads = [ x_item ];
-        writes = [ (x_item, Value.int 1) ] };
-      { Static_txn.tid = Tid.v 12; pid = 12; reads = [];
-        writes = [ (x_item, Value.int 2); (y_item, Value.int 2) ] };
-    ]
-  in
-  let solo, _ = scenario_run impl specs [ Schedule.Until_done 12 ] in
-  let n = solo.Sim.steps_of 12 in
-  let try_at k =
-    let sim, outcomes =
-      scenario_run impl specs
-        [ Schedule.Steps (12, k); Schedule.Until_done 11 ]
-    in
-    match sim.Sim.report.Schedule.stop with
-    | Schedule.Budget_exhausted _ ->
-        Error
-          (Printf.sprintf
-             "T_a cannot finish solo while a conflicting transaction is \
-              suspended after %d steps (blocking)"
-             k)
-    | Schedule.Crashed (_, e) -> Error (Printexc.to_string e)
-    | Schedule.Completed -> (
-        match Hashtbl.find_opt outcomes (Tid.v 11) with
-        | Some o when o.Static_txn.status <> Static_txn.Unstarted -> Ok ()
-        | _ -> Error "T_a did not run")
-  in
-  let rec all k = if k > n then Ok () else
-      match try_at k with Ok () -> all (k + 1) | Error e -> Error e
-  in
-  all 0
 
 (* ------------------------------------------------------------------ *)
 (* Consistency evidence via the weak-adaptive checker *)
@@ -171,9 +122,6 @@ let delta1_refuted ?(budget = 2_000_000) impl : bool =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-
-let describe_dap_violation mem_names (v : Tm_dap.Strict_dap.violation) =
-  Fmt.str "%a" (Tm_dap.Strict_dap.pp_violation ~name_of:mem_names) v
 
 let assess ?budget (impl : Tm_intf.impl) : t =
   let (module M : Tm_intf.S) = impl in
@@ -228,9 +176,25 @@ let assess ?budget (impl : Tm_intf.impl) : t =
         match of_viols with
         | v :: _ -> Violated (Fmt.str "%a" Tm_dap.Obstruction_freedom.pp_violation v)
         | [] -> (
-            match suspended_enemy_progress impl with
-            | Ok () -> Holds
-            | Error why -> Violated why))
+            (* solo progress under a suspended conflicting enemy: T_a
+               must still finish solo if the TM is obstruction-free *)
+            let open Tm_probe.Progress in
+            let failure (k, o) =
+              match o with
+              | Stall ->
+                  Some
+                    (Printf.sprintf
+                       "T_a cannot finish solo while a conflicting \
+                        transaction is suspended after %d steps (blocking)"
+                       k)
+              | Crash e -> Some e
+              | Commit | Abort -> None
+            in
+            match
+              Seq.find_map failure (scan impl ~enemy ~probe:conflicting_probe)
+            with
+            | None -> Holds
+            | Some why -> Violated why))
   in
   (* Consistency *)
   let consistency =
@@ -316,5 +280,3 @@ let pp ppf (t : t) =
   Fmt.pf ppf "%-12s P: %a@\n%-12s C: %a@\n%-12s L: %a" t.impl_name pp_leg
     t.parallelism "" pp_leg t.consistency "" pp_leg t.liveness;
   List.iter (fun n -> Fmt.pf ppf "@\n%-12s note: %s" "" n) t.notes
-
-let _ = describe_dap_violation

@@ -26,16 +26,6 @@ let specs : Static_txn.spec list =
 let pids = List.map (fun s -> s.Static_txn.pid) specs
 let data_sets = Static_txn.data_sets specs
 
-let setup (impl : Tm_intf.impl) : Sim.setup =
-  let outcomes = Hashtbl.create 4 in
-  fun mem recorder ->
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-    in
-    List.map
-      (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      specs
-
 (** Sweep the workload's interleavings on one TM, classifying every
     complete execution by the strongest consistency condition it
     satisfies ("none" if it satisfies nothing at all).  Returns the
@@ -49,7 +39,8 @@ let run ?(max_steps = 80) ?(max_nodes = 300_000) ?max_executions
     (impl : Tm_intf.impl) : (string * int) list * Explorer.stats =
   let profiles = Hashtbl.create 8 in
   let stats =
-    Explorer.explore ~max_nodes ~max_steps ?max_executions ~por (setup impl)
+    Explorer.explore ~max_nodes ~max_steps ?max_executions ~por
+      (Static_txn.setup impl specs ~outcomes:(Hashtbl.create 4))
       ~pids
       ~on_execution:(fun r ->
         let strongest =

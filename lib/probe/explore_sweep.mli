@@ -13,10 +13,6 @@ val specs : Static_txn.spec list
 val pids : int list
 val data_sets : (Tid.t * Item.Set.t) list
 
-val setup : Tm_intf.impl -> Sim.setup
-(** The world: the pair instantiated on [impl].  Each call makes a fresh
-    outcome table, shared across the replays of one search. *)
-
 val run :
   ?max_steps:int ->
   ?max_nodes:int ->

@@ -37,57 +37,24 @@ type report = { cls : cls; evidence : string }
 let x_item = Item.v "x"
 let y_item = Item.v "y"
 
-let spec tid pid reads writes =
-  { Static_txn.tid = Tid.v tid; pid; reads;
-    writes = List.map (fun (i, v) -> (i, Value.int v)) writes }
-
-let static_setup impl specs outcomes : Sim.setup =
- fun mem recorder ->
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-  in
-  List.map
-    (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-    specs
-
 (* --------------------------------------------------------------- *)
-(* Probe 1: solo progress against a suspended conflicting enemy.
-   A stall refutes everything non-blocking; a solo abort refutes
-   obstruction-freedom (and we fold it into Blocking as well, since the
-   TM cannot guarantee solo commit). *)
+(* Probe 1: solo progress against a suspended conflicting enemy — the
+   first non-commit of the suspension scan.  A stall refutes everything
+   non-blocking; a solo abort refutes obstruction-freedom (and we fold it
+   into Blocking as well, since the TM cannot guarantee solo commit). *)
 
 type solo_result = Solo_ok | Stalls of int | Solo_abort of int
 
 let solo_progress impl : solo_result =
-  let specs =
-    [ spec 11 11 [ x_item ] [ (x_item, 1) ];
-      spec 12 12 [] [ (x_item, 2); (y_item, 2) ] ]
-  in
-  let solo_outcomes = Hashtbl.create 4 in
-  let solo =
-    Sim.replay ~budget:5_000 (static_setup impl specs solo_outcomes)
-      [ Schedule.Until_done 12 ]
-  in
-  let n = solo.Sim.steps_of 12 in
-  let rec go k =
-    if k > n then Solo_ok
-    else begin
-      let outcomes = Hashtbl.create 4 in
-      let r =
-        Sim.replay ~budget:1_000 (static_setup impl specs outcomes)
-          [ Schedule.Steps (12, k); Schedule.Until_done 11 ]
-      in
-      match r.Sim.report.Schedule.stop with
-      | Schedule.Budget_exhausted _ | Schedule.Crashed _ -> Stalls k
-      | Schedule.Completed -> (
-          match Hashtbl.find_opt outcomes (Tid.v 11) with
-          | Some o when o.Static_txn.status = Static_txn.Committed ->
-              go (k + 1)
-          | Some _ -> Solo_abort k
-          | None -> Stalls k)
-    end
-  in
-  go 0
+  match
+    Seq.find
+      (fun (_, o) -> o <> Progress.Commit)
+      (Progress.scan impl ~enemy:Progress.enemy
+         ~probe:Progress.conflicting_probe)
+  with
+  | None -> Solo_ok
+  | Some (k, Progress.Abort) -> Solo_abort k
+  | Some (k, _) -> Stalls k
 
 (* --------------------------------------------------------------- *)
 (* Probe 2: mutual-abort livelock under alternating schedules.  Two
@@ -171,29 +138,7 @@ let find_livelock ?(horizon = 300) impl : int option =
    adversarial extension of the same pattern). *)
 
 let aborts_under_contention impl : int =
-  let c1 = ref 0 and c2 = ref 0 in
-  let mem = Memory.create () in
-  let recorder = Tm_trace.Recorder.create () in
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:[ x_item; y_item ]
-  in
-  let sched = Scheduler.create mem in
-  Scheduler.spawn sched ~pid:1 (retry_client handle ~pid:1 ~committed:c1);
-  Scheduler.spawn sched ~pid:2 (retry_client handle ~pid:2 ~committed:c2);
-  let steps = ref 0 in
-  while
-    !steps < 5_000
-    && not (Scheduler.finished sched 1 && Scheduler.finished sched 2)
-  do
-    List.iter
-      (fun pid ->
-        if not (Scheduler.finished sched pid) then begin
-          ignore (Scheduler.step sched pid);
-          incr steps
-        end)
-      [ 1; 2 ]
-  done;
-  let h = Tm_trace.Recorder.history recorder in
+  let h = Progress.round_robin (livelock_setup impl (ref 0) (ref 0)) in
   List.length
     (List.filter (fun t -> Tm_trace.History.aborted h t)
        (Tm_trace.History.txns h))

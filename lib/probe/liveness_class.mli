@@ -23,8 +23,10 @@ type solo_result = Solo_ok | Stalls of int | Solo_abort of int
 
 val solo_progress : Tm_intf.impl -> solo_result
 (** Probe 1: can a conflicting transaction always finish solo while an
-    enemy is suspended at any point of its run?  [Stalls k] / [Solo_abort
-    k] name the suspension point that refutes it. *)
+    enemy is suspended at any point of its run?  The first non-commit of
+    {!Progress.scan} over {!Progress.enemy} and
+    {!Progress.conflicting_probe}: [Stalls k] / [Solo_abort k] name the
+    suspension point that refutes it. *)
 
 val find_livelock : ?horizon:int -> Tm_intf.impl -> int option
 (** Probe 2: the adaptive commit-avoiding adversary.  At every decision
@@ -36,7 +38,7 @@ val find_livelock : ?horizon:int -> Tm_intf.impl -> int option
     someone. *)
 
 val aborts_under_contention : Tm_intf.impl -> int
-(** Probe 3: aborts observed under fair round-robin contention with
-    retry-forever clients — any abort refutes wait-freedom. *)
+(** Probe 3: aborts observed under {!Progress.round_robin} contention
+    with two retry-forever clients — any abort refutes wait-freedom. *)
 
 val classify : Tm_intf.impl -> report

@@ -4,6 +4,7 @@
    write a list of items, then commit. *)
 
 open Tm_base
+open Tm_runtime
 
 type spec = {
   tid : Tid.t;
@@ -75,3 +76,16 @@ let items_of (specs : spec list) : Item.t list =
     (List.fold_left
        (fun acc s -> Item.Set.union acc (data_set s))
        Item.Set.empty specs)
+
+(** The world of [specs] on [impl]: one process per spec, each running its
+    {!program} once, outcomes written into [outcomes]. *)
+let setup impl (specs : spec list) ~outcomes : Sim.setup =
+ fun mem recorder ->
+  let handle = Txn_api.instantiate impl mem recorder ~items:(items_of specs) in
+  List.map (fun s -> (s.pid, program handle s ~outcomes)) specs
+
+(** Replay [atoms] from C0 on the world of [specs], with a fresh outcome
+    table. *)
+let run ?budget impl specs atoms =
+  let outcomes = Hashtbl.create 8 in
+  (Sim.replay ?budget (setup impl specs ~outcomes) atoms, outcomes)

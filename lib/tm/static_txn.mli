@@ -4,6 +4,7 @@
     commit. *)
 
 open Tm_base
+open Tm_runtime
 
 type spec = {
   tid : Tid.t;
@@ -38,3 +39,18 @@ val program :
     into [outcomes]. *)
 
 val items_of : spec list -> Item.t list
+
+val setup :
+  Tm_intf.impl -> spec list -> outcomes:(Tid.t, outcome) Hashtbl.t -> Sim.setup
+(** The world of the specs on a TM: one process per spec (pid [s.pid]),
+    each running its {!program} once and writing into [outcomes]. *)
+
+val run :
+  ?budget:int ->
+  Tm_intf.impl ->
+  spec list ->
+  Schedule.atom list ->
+  Sim.result * (Tid.t, outcome) Hashtbl.t
+(** [Sim.replay] of the atoms on {!setup}'s world with a fresh outcome
+    table; [budget] is passed through (the [Sim.replay] default when
+    absent). *)

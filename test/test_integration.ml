@@ -14,15 +14,6 @@ let spec tid pid reads writes =
   { Static_txn.tid = Tid.v tid; pid; reads;
     writes = List.map (fun (i, v) -> (i, Value.int v)) writes }
 
-let setup impl specs outcomes : Sim.setup =
- fun mem recorder ->
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-  in
-  List.map
-    (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-    specs
-
 let three_txns =
   [ spec 1 1 [ x ] [ (y, 1) ]; spec 2 2 [ y ] [ (z, 2) ];
     spec 3 3 [ z ] [ (x, 3) ] ]
@@ -49,10 +40,8 @@ let pipeline_tests =
           let st = Random.State.make [| 42 |] in
           for _ = 1 to 25 do
             let schedule = random_schedule st in
-            let outcomes = Hashtbl.create 8 in
-            let r =
-              Sim.replay ~budget:2_000 (setup impl three_txns outcomes)
-                schedule
+            let r, outcomes =
+              Static_txn.run ~budget:2_000 impl three_txns schedule
             in
             (* history well-formed *)
             (match History.well_formed r.Sim.history with
@@ -100,9 +89,8 @@ let dap_property_tests =
                in
                let st = Random.State.make [| 7 |] in
                for _ = 1 to 25 do
-                 let outcomes = Hashtbl.create 8 in
-                 let r =
-                   Sim.replay ~budget:2_000 (setup impl disjoint outcomes)
+                 let r, _ =
+                   Static_txn.run ~budget:2_000 impl disjoint
                      (random_schedule st)
                  in
                  check "no contention at all" true
@@ -126,9 +114,8 @@ let of_property_tests =
              (fun () ->
                let st = Random.State.make [| 13 |] in
                for _ = 1 to 25 do
-                 let outcomes = Hashtbl.create 8 in
-                 let r =
-                   Sim.replay ~budget:2_000 (setup impl three_txns outcomes)
+                 let r, _ =
+                   Static_txn.run ~budget:2_000 impl three_txns
                      (random_schedule st)
                  in
                  match
@@ -162,9 +149,8 @@ let consistency_property_tests =
             (fun () ->
               let st = Random.State.make [| 99 |] in
               for i = 1 to 25 do
-                let outcomes = Hashtbl.create 8 in
-                let r =
-                  Sim.replay ~budget:2_000 (setup impl three_txns outcomes)
+                let r, _ =
+                  Static_txn.run ~budget:2_000 impl three_txns
                     (random_schedule st)
                 in
                 match checkf r.Sim.history with
@@ -195,9 +181,8 @@ let csr_cross_validation_tests =
              `Quick (fun () ->
                let st = Random.State.make [| 2024 |] in
                for _ = 1 to 25 do
-                 let outcomes = Hashtbl.create 8 in
-                 let r =
-                   Sim.replay ~budget:2_000 (setup impl three_txns outcomes)
+                 let r, _ =
+                   Static_txn.run ~budget:2_000 impl three_txns
                      (random_schedule st)
                  in
                  let csr = Conflict_serializability.check r.Sim.history in

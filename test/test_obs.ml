@@ -226,17 +226,8 @@ let test_replay_counters () =
     ]
   in
   let impl = Registry.find_exn "tl-lock" in
-  let outcomes = Hashtbl.create 4 in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-    in
-    List.map
-      (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-      specs
-  in
-  let r =
-    Sim.replay ~budget:1_000 setup
+  let r, _ =
+    Static_txn.run ~budget:1_000 impl specs
       [ Schedule.Until_done 1; Schedule.Until_done 2 ]
   in
   let m = Sink.metrics sink in

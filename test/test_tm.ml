@@ -15,19 +15,8 @@ let spec tid pid reads writes =
   { Static_txn.tid = Tid.v tid; pid; reads;
     writes = List.map (fun (i, v) -> (i, Value.int v)) writes }
 
-let setup impl specs outcomes : Sim.setup =
- fun mem recorder ->
-  let handle =
-    Txn_api.instantiate impl mem recorder ~items:(Static_txn.items_of specs)
-  in
-  List.map
-    (fun s -> (s.Static_txn.pid, Static_txn.program handle s ~outcomes))
-    specs
-
 let run ?(budget = 3_000) impl specs schedule =
-  let outcomes = Hashtbl.create 8 in
-  let r = Sim.replay ~budget (setup impl specs outcomes) schedule in
-  (r, outcomes)
+  Static_txn.run ~budget impl specs schedule
 
 let read_of outcomes tid item =
   Option.bind (Hashtbl.find_opt outcomes (Tid.v tid)) (fun o ->
@@ -177,7 +166,7 @@ let tl_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_steps:40 ~max_nodes:60_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Spec.sat (Strict_serializability.check r.Sim.history))
         in
         check "holds" true (Result.is_ok r));
@@ -240,8 +229,8 @@ let pram_tests =
         in
         let outcomes = Hashtbl.create 4 in
         let r =
-          Explorer.for_all (setup impl specs outcomes) ~pids:[ 1; 2 ]
-            (fun r -> Spec.sat (Pram.check r.Sim.history))
+          Explorer.for_all (Static_txn.setup impl specs ~outcomes)
+            ~pids:[ 1; 2 ] (fun r -> Spec.sat (Pram.check r.Sim.history))
         in
         check "holds" true (Result.is_ok r));
   ]
@@ -299,7 +288,7 @@ let dstm_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_nodes:200_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Spec.sat (Strict_serializability.check r.Sim.history))
         in
         check "holds" true (Result.is_ok r));
@@ -310,7 +299,7 @@ let dstm_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_nodes:200_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Obstruction_freedom.holds r.Sim.history r.Sim.log)
         in
         check "holds" true (Result.is_ok r));
@@ -375,7 +364,7 @@ let si_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_nodes:300_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Spec.sat (Snapshot_isolation.check r.Sim.history))
         in
         check "holds" true (Result.is_ok r));
@@ -403,7 +392,7 @@ let candidate_tests =
         let outcomes = Hashtbl.create 4 in
         let w =
           Explorer.exists ~max_nodes:300_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Snapshot_isolation.check r.Sim.history = Spec.Unsat)
         in
         check "witness exists" true (w <> None));
@@ -415,7 +404,7 @@ let candidate_tests =
         let outcomes = Hashtbl.create 4 in
         let w =
           Explorer.exists ~max_nodes:300_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Weak_adaptive.check r.Sim.history = Spec.Unsat)
         in
         check "witness exists" true (w <> None));
@@ -427,7 +416,7 @@ let candidate_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_nodes:300_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Obstruction_freedom.holds r.Sim.history r.Sim.log)
         in
         check "holds" true (Result.is_ok r));
@@ -440,7 +429,7 @@ let candidate_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_nodes:300_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Strict_dap.holds ~data_sets r.Sim.log)
         in
         check "holds" true (Result.is_ok r));
@@ -515,7 +504,7 @@ let tl2_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_steps:60 ~max_nodes:100_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Spec.sat (Opacity.check r.Sim.history))
         in
         check "holds" true (Result.is_ok r));
@@ -600,7 +589,7 @@ let norec_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_steps:60 ~max_nodes:150_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Spec.sat (Opacity.check r.Sim.history))
         in
         check "holds" true (Result.is_ok r));
@@ -693,7 +682,7 @@ let llsc_tests =
         let outcomes = Hashtbl.create 4 in
         let w =
           Explorer.exists ~max_nodes:300_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Weak_adaptive.check r.Sim.history = Spec.Unsat)
         in
         check "witness exists" true (w <> None));
@@ -706,7 +695,7 @@ let llsc_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_nodes:300_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r ->
               Strict_dap.holds ~data_sets r.Sim.log
               && Obstruction_freedom.holds r.Sim.history r.Sim.log)
@@ -790,7 +779,7 @@ let lp_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_nodes:150_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Strict_dap.holds ~data_sets r.Sim.log)
         in
         check "holds" true (Result.is_ok r));
@@ -801,7 +790,7 @@ let lp_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_steps:60 ~max_nodes:150_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Spec.sat (Opacity.check r.Sim.history))
         in
         check "holds" true (Result.is_ok r));
@@ -867,7 +856,7 @@ let pwf_tests =
         let outcomes = Hashtbl.create 4 in
         let r =
           Explorer.for_all ~max_steps:60 ~max_nodes:150_000
-            (setup impl specs outcomes) ~pids:[ 1; 2 ]
+            (Static_txn.setup impl specs ~outcomes) ~pids:[ 1; 2 ]
             (fun r -> Spec.sat (Opacity.check r.Sim.history))
         in
         check "holds" true (Result.is_ok r));

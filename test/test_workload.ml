@@ -101,6 +101,28 @@ let progress_tests =
         let p = Progress.run (Registry.find_exn "tl2-clock") ~disjoint:false in
         check_int "no stalls" 0 p.Progress.stalls;
         check "aborts happen" true (p.Progress.aborts > 0));
+    Alcotest.test_case "every suspension point 0..n is probed and counted"
+      `Quick (fun () ->
+        List.iter
+          (fun impl ->
+            let solo, _ =
+              Static_txn.run impl [ Progress.enemy ]
+                [ Schedule.Until_done Progress.enemy.Static_txn.pid ]
+            in
+            let n = solo.Sim.steps_of Progress.enemy.Static_txn.pid in
+            List.iter
+              (fun disjoint ->
+                let p = Progress.run impl ~disjoint in
+                let label what =
+                  Printf.sprintf "%s disjoint=%b %s" (Registry.name impl)
+                    disjoint what
+                in
+                check_int (label "points = commits + aborts + stalls")
+                  p.Progress.points
+                  (p.Progress.commits + p.Progress.aborts + p.Progress.stalls);
+                check_int (label "points = n + 1") (n + 1) p.Progress.points)
+              [ false; true ])
+          Registry.all);
   ]
 
 let () =
