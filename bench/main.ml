@@ -17,7 +17,8 @@
      scaling     disjoint vs conflicting throughput sweep (T-B)
      checkers    decision-procedure microbenchmarks, bechamel (T-C)
      flight      flight-recorder overhead on the mixed workload
-     lint        per-pass pclsan cost over the recorded workload
+     lint        per-pass pclsan cost (ns and minor words per step) over
+                 the recorded workload
      chaos       fault-hook overhead on the raw Memory.apply step path
      explore     interleaving-sweep throughput, naive DFS vs sleep-set DPOR
      cost        per-TM synchronization-cost matrix (RMRs, RMW-class
@@ -82,14 +83,15 @@ let parse_cli () : cli =
     sections = List.rev !sections;
   }
 
-(* --json with no explicit sections runs only the machine-readable
-   artifacts (the scaling sweep, the chaos fault-hook overhead and the
-   exploration sweep); otherwise no sections means all. *)
+(* --json with no explicit sections runs only the sections whose rows
+   land in the summary (scaling, chaos, explore, cost, soak and lint);
+   otherwise no sections means all. *)
 let section_enabled cli name =
   let requested = cli.sections in
   (requested = []
   && ((not cli.json) || name = "scaling" || name = "chaos"
-     || name = "explore" || name = "cost" || name = "soak"))
+     || name = "explore" || name = "cost" || name = "soak"
+     || name = "lint"))
   || List.mem name requested
   || (List.mem "figures" requested
      && String.length name = 4
@@ -347,9 +349,20 @@ let flight_overhead ~iters ~seed () =
 (* ------------------------------------------------------------------ *)
 (* pclsan overhead: record the mixed workload once per TM, then time each
    lint pass alone over the same recorded input — the cost a CI lint run
-   adds per recorded step, pass by pass. *)
+   adds per recorded step, pass by pass — and meter the minor words one
+   warm run allocates (deterministic: the CI allocation ratchet's input).
+   The history-index row is the per-transaction index every pass queries,
+   built from scratch on a copy of the recorded history. *)
 
-let lint_overhead ~iters ~seed () =
+type lint_row = {
+  ltm : string;
+  lpass : string;
+  l_steps : int;
+  l_ns : float;  (** per step, best of 5 *)
+  l_words : float;  (** minor words per step, one warm run *)
+}
+
+let lint_overhead ~iters ~seed () : lint_row list =
   let cfg =
     { Workload.default with Workload.conflict_pct = 50;
       txns_per_proc = iters; seed }
@@ -366,18 +379,23 @@ let lint_overhead ~iters ~seed () =
     done;
     !best
   in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
   let tms = [ Registry.find_exn "tl-lock"; Registry.find_exn "candidate" ] in
   Format.printf
     "per-pass lint cost over the recorded mixed workload (conflict 50%%, \
-     %d txns/proc), best of 5 runs:@."
+     %d txns/proc), best of 5 runs; ns/step and minor words/step:@."
     iters;
   Format.printf "%-16s" "pass \\ TM";
   List.iter
     (fun impl ->
       let (module M : Tm_intf.S) = impl in
-      Format.printf "%16s" M.name)
+      Format.printf "%24s" M.name)
     tms;
-  Format.printf "%16s@." "unit";
+  Format.printf "@.";
   let inputs =
     List.map
       (fun impl ->
@@ -387,29 +405,38 @@ let lint_overhead ~iters ~seed () =
         let input =
           { (Lint.input_of_flight fl) with Lint.tm = Some M.name }
         in
-        (List.length input.Lint.log, input))
+        (M.name, List.length input.Lint.log, input))
       tms
   in
+  let row name run =
+    Format.printf "%-16s" name;
+    let rows =
+      List.map
+        (fun (tm, steps, input) ->
+          let per_step x = x /. float_of_int (max 1 steps) in
+          let ns = per_step (time (fun () -> run input) *. 1e9)
+          and w = per_step (words (fun () -> run input)) in
+          Format.printf "%14.1f ns %6.1f w" ns w;
+          { ltm = tm; lpass = name; l_steps = steps; l_ns = ns; l_words = w })
+        inputs
+    in
+    Format.printf "@.";
+    rows
+  in
+  let index (input : Lint.input) =
+    let h = History.of_list (History.to_list input.Lint.history) in
+    History.txn_count h
+  in
   (* the happens-before analysis alone: every trace pass pays it *)
-  Format.printf "%-16s" "hb-engine";
-  List.iter
-    (fun (steps, (input : Lint.input)) ->
-      let dt =
-        time (fun () -> Hb.analyse ~history:input.Lint.history input.Lint.log)
-      in
-      Format.printf "%16.1f" (dt *. 1e9 /. float_of_int (max 1 steps)))
-    inputs;
-  Format.printf "%16s@." "ns/step";
-  List.iter
-    (fun (pass : Lint.pass) ->
-      Format.printf "%-16s" pass.Lint.name;
-      List.iter
-        (fun (steps, input) ->
-          let dt = time (fun () -> pass.Lint.run Lint.default input) in
-          Format.printf "%16.1f" (dt *. 1e9 /. float_of_int (max 1 steps)))
-        inputs;
-      Format.printf "%16s@." "ns/step")
-    Lint_passes.trace_passes
+  ignore
+    (row "hb-engine" (fun (input : Lint.input) ->
+         Hb.length (Hb.analyse ~history:input.Lint.history input.Lint.log)));
+  let index_rows = row "history-index" index in
+  index_rows
+  @ List.concat_map
+      (fun (pass : Lint.pass) ->
+        row pass.Lint.name (fun input -> pass.Lint.run Lint.default input))
+      (Lint_passes.trace_passes @ [ Progress_lint.progressiveness ])
 
 (* ------------------------------------------------------------------ *)
 (* chaos: fault-hook overhead on the raw step path.  The fault hook is
@@ -692,9 +719,19 @@ let soak_row_json (r : soak_row) : Obs_json.t =
         Obs_json.Float (if degenerate then 0. else r.s_words /. fsteps) );
     ]
 
+let lint_row_json (r : lint_row) : Obs_json.t =
+  Obs_json.Obj
+    [
+      ("tm", Obs_json.String r.ltm);
+      ("pass", Obs_json.String r.lpass);
+      ("steps", Obs_json.Int r.l_steps);
+      ("ns_per_step", Obs_json.Float r.l_ns);
+      ("words_per_step", Obs_json.Float r.l_words);
+    ]
+
 let write_summary cli (rows : scaling_row list) (chaos : chaos_row list)
     (explore : explore_row list) (cost : Cost_run.row list)
-    (soak : soak_row list) =
+    (soak : soak_row list) (lint : lint_row list) =
   let metric_lines =
     List.filter
       (fun j ->
@@ -713,6 +750,7 @@ let write_summary cli (rows : scaling_row list) (chaos : chaos_row list)
         ("explore", Obs_json.List (List.map explore_row_json explore));
         ("cost", Obs_json.List (List.map Cost_run.row_json cost));
         ("soak", Obs_json.List (List.map soak_row_json soak));
+        ("lint", Obs_json.List (List.map lint_row_json lint));
         ("metrics", Obs_json.List metric_lines);
       ]
   in
@@ -733,6 +771,7 @@ let () =
   let explore_rows = ref [] in
   let cost_rows = ref [] in
   let soak_rows = ref [] in
+  let lint_rows = ref [] in
   let sections =
     [
       ("fig1", fun () -> fig12 `Fig1);
@@ -747,7 +786,9 @@ let () =
           scaling_rows := scaling ~iters:cli.iters ~seed:cli.seed () );
       ("checkers", checkers);
       ("flight", fun () -> flight_overhead ~iters:cli.iters ~seed:cli.seed ());
-      ("lint", fun () -> lint_overhead ~iters:cli.iters ~seed:cli.seed ());
+      ( "lint",
+        fun () -> lint_rows := lint_overhead ~iters:cli.iters ~seed:cli.seed ()
+      );
       ("chaos", fun () -> chaos_rows := chaos_overhead ~iters:cli.iters ());
       ("explore", fun () -> explore_rows := explore_bench ());
       ("cost", fun () -> cost_rows := cost_bench ());
@@ -766,4 +807,4 @@ let () =
     sections;
   if cli.json then
     write_summary cli !scaling_rows !chaos_rows !explore_rows !cost_rows
-      !soak_rows
+      !soak_rows !lint_rows

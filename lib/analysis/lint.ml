@@ -107,26 +107,61 @@ let effective_data_sets (i : input) : Conflict.data_sets =
   match i.data_sets with
   | Some ds -> ds
   | None ->
+      let h = i.history in
       let invoked tid =
         List.fold_left
           (fun acc ev ->
             match ev with
-            | Event.Inv { tid = t; op = Event.Read x; _ }
-            | Event.Inv { tid = t; op = Event.Write (x, _); _ }
-              when Tid.equal t tid ->
+            | Event.Inv { op = Event.Read x | Event.Write (x, _); _ } ->
                 Item.Set.add x acc
             | _ -> acc)
-          Item.Set.empty
-          (History.to_list i.history)
+          Item.Set.empty (History.per_txn h tid)
       in
       List.map
         (fun tid ->
           ( tid,
             Item.Set.union (invoked tid)
-              (Item.Set.union
-                 (History.read_set i.history tid)
-                 (History.write_set i.history tid)) ))
-        (History.txns i.history)
+              (Item.Set.union (History.read_set h tid)
+                 (History.write_set h tid)) ))
+        (History.txns h)
+
+let cap (cfg : config) findings =
+  List.filteri (fun n _ -> n < cfg.max_findings) findings
+
+(* Maximal runs of consecutive log entries attributed to one transaction
+   that never completes in the history (no intervening step by any other
+   process), reported once per transaction when the run first exceeds
+   the horizon: (txn, first step of the run, step at which it crossed
+   the horizon, run length then), in log order. *)
+let solo_runs (cfg : config) (i : input) : (Tid.t * int * int * int) list =
+  let completed : (Tid.t, unit) Hashtbl.t = Hashtbl.create 8 in
+  for p = 0 to History.length i.history - 1 do
+    match History.get i.history p with
+    | Event.Resp { tid; resp = Event.R_committed | Event.R_aborted; _ } ->
+        Hashtbl.replace completed tid ()
+    | _ -> ()
+  done;
+  let runs = ref [] and flagged = Hashtbl.create 4 in
+  let cur : (Tid.t * int * int) option ref = ref None in
+  List.iter
+    (fun (e : Access_log.entry) ->
+      let continue_run t first len =
+        let len = len + 1 in
+        if len > cfg.horizon && not (Hashtbl.mem flagged t) then begin
+          Hashtbl.add flagged t ();
+          runs := (t, first, e.Access_log.index, len) :: !runs
+        end;
+        cur := Some (t, first, len)
+      in
+      match (e.Access_log.tid, !cur) with
+      | Some t, Some (t', first, len)
+        when Tid.equal t t' && not (Hashtbl.mem completed t) ->
+          continue_run t first len
+      | Some t, _ when not (Hashtbl.mem completed t) ->
+          continue_run t e.Access_log.index 0
+      | _ -> cur := None)
+    i.log;
+  List.rev !runs
 
 type pass = {
   name : string;

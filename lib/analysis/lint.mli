@@ -76,6 +76,16 @@ val effective_data_sets : input -> Conflict.data_sets
     sets derived from the history — the dynamic footprint
     over-approximation used by the strict-DAP pass. *)
 
+val cap : config -> finding list -> finding list
+(** The first [max_findings] findings. *)
+
+val solo_runs : config -> input -> (Tid.t * int * int * int) list
+(** Step-contention-free runs past the horizon: maximal runs of
+    consecutive log entries of one transaction that never completes in
+    the history, reported once per transaction as (txn, first step of
+    the run, step at which it crossed the horizon, run length there),
+    in log order.  The stall arm of of-stall and of progressiveness. *)
+
 (** {1 Passes} *)
 
 type pass = {

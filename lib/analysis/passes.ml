@@ -13,15 +13,6 @@ open Tm_trace
 open Tm_dap
 open Lint
 
-let cap (cfg : config) findings =
-  if List.length findings <= cfg.max_findings then findings
-  else
-    let rec take n = function
-      | x :: rest when n > 0 -> x :: take (n - 1) rest
-      | _ -> []
-    in
-    take cfg.max_findings findings
-
 let tid_list tids = List.sort_uniq Tid.compare tids
 
 (* ------------------------------------------------------------------ *)
@@ -138,21 +129,45 @@ let race : pass =
    per-step version of Dap.Strict_dap over Access_log summaries and
    Conflict data sets. *)
 
+(* one record per (object, transaction): the transaction's first access
+   index there and whether any of its accesses was non-trivial *)
+type toucher = { t : Tid.t; first : int; mutable nt : bool }
+
+module Int_tbl = Hashtbl.Make (Int)
+
 let dap_run (cfg : config) (i : input) : finding list =
   let data_sets = effective_data_sets i in
-  let related =
+  let unrelated =
     match cfg.dap_connectivity with
-    | `Direct -> fun t1 t2 -> Conflict.conflict data_sets t1 t2
+    | `Direct ->
+        let data_of = Conflict.lookup data_sets in
+        fun t1 t2 -> Item.Set.disjoint (data_of t1) (data_of t2)
     | `Path ->
-        let tids = List.map fst data_sets in
-        let g = Conflict.graph data_sets tids in
-        fun t1 t2 -> Conflict.connected g t1 t2
+        let g = Conflict.graph data_sets (List.map fst data_sets) in
+        fun t1 t2 -> not (Conflict.connected g t1 t2)
   in
-  (* per object: every transaction that touched it, with first index and
-     whether any of its accesses was non-trivial *)
-  let per_obj : (Oid.t, (Tid.t * int * bool) list) Hashtbl.t =
-    Hashtbl.create 64
+  (* decided once per ordered pair: per transaction, a table of the
+     transactions it was already compared with *)
+  let memo = Int_tbl.create 64 in
+  let unrelated_to t =
+    let known =
+      match Int_tbl.find_opt memo t with
+      | Some k -> k
+      | None ->
+          let k = Int_tbl.create 16 in
+          Int_tbl.add memo t k;
+          k
+    in
+    fun t' ->
+      match Int_tbl.find_opt known t' with
+      | Some b -> b
+      | None ->
+          let b = unrelated t t' in
+          Int_tbl.add known t' b;
+          b
   in
+  (* per object: its touchers, most recent first *)
+  let per_obj : (Oid.t, toucher list) Hashtbl.t = Hashtbl.create 64 in
   let seen_pair : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
   let findings = ref [] in
   List.iter
@@ -163,17 +178,12 @@ let dap_run (cfg : config) (i : input) : finding list =
           let o = e.Access_log.oid in
           let nt = Primitive.non_trivial e.Access_log.prim in
           let prior = Option.value ~default:[] (Hashtbl.find_opt per_obj o) in
+          let unrelated = unrelated_to t and mine = ref None in
           List.iter
-            (fun (t', idx', nt') ->
-              if
-                (not (Tid.equal t t'))
-                && (nt || nt')
-                && not (related t t')
-              then begin
-                let key =
-                  ( min (Tid.to_int t) (Tid.to_int t'),
-                    max (Tid.to_int t) (Tid.to_int t') )
-                in
+            (fun p ->
+              if Tid.equal t p.t then mine := Some p
+              else if (nt || p.nt) && unrelated p.t then begin
+                let key = (min t p.t, max t p.t) in
                 if not (Hashtbl.mem seen_pair key) then begin
                   Hashtbl.add seen_pair key ();
                   findings :=
@@ -181,14 +191,14 @@ let dap_run (cfg : config) (i : input) : finding list =
                       pass = "strict-dap";
                       severity = Error;
                       step = Some e.Access_log.index;
-                      txns = tid_list [ t; t' ];
+                      txns = tid_list [ t; p.t ];
                       oids = [ o ];
-                      witness_steps = [ idx'; e.Access_log.index ];
+                      witness_steps = [ p.first; e.Access_log.index ];
                       message =
                         Printf.sprintf
                           "%s and %s have %s data sets but contend on %s \
                            (first contact at step %d)"
-                          (Tid.name t') (Tid.name t)
+                          (Tid.name p.t) (Tid.name t)
                           (match cfg.dap_connectivity with
                           | `Direct -> "disjoint"
                           | `Path -> "conflict-graph-disconnected")
@@ -198,17 +208,11 @@ let dap_run (cfg : config) (i : input) : finding list =
                 end
               end)
             prior;
-          (* keep one record per transaction, upgrading the nontrivial flag *)
-          let prior' =
-            if List.exists (fun (t', _, _) -> Tid.equal t t') prior then
-              List.map
-                (fun (t', idx', nt') ->
-                  if Tid.equal t t' then (t', idx', nt' || nt)
-                  else (t', idx', nt'))
-                prior
-            else (t, e.Access_log.index, nt) :: prior
-          in
-          Hashtbl.replace per_obj o prior')
+          match !mine with
+          | Some p -> p.nt <- p.nt || nt
+          | None ->
+              Hashtbl.replace per_obj o
+                ({ t; first = e.Access_log.index; nt } :: prior))
     i.log;
   cap cfg (List.rev !findings)
 
@@ -225,62 +229,30 @@ let strict_dap : pass =
 (* ------------------------------------------------------------------ *)
 (* of-stall: the obstruction-freedom obligations made local.  Two arms:
    (1) stall — a transaction running step-contention-free past the
-   horizon without completing (maximal runs of consecutive log entries
-   attributed to one transaction, no intervening step by any other
-   process); (2) uncontended abort — a transaction aborted although no
+   horizon without completing ([Lint.solo_runs]); (2) uncontended abort — a transaction aborted although no
    other process stepped during its interval, delegated to
    Obstruction_freedom.violations.  Either refutes the property: an
    obstruction-free TM must let a solo transaction commit. *)
 
 let of_stall_run (cfg : config) (i : input) : finding list =
-  (* completion stamps: step count at which each transaction committed or
-     aborted, from the history's response events *)
-  let completion : (Tid.t, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Event.Resp { tid; resp = Event.R_committed | Event.R_aborted; at; _ }
-        ->
-          Hashtbl.replace completion tid at
-      | _ -> ())
-    (History.to_list i.history);
-  let findings = ref [] in
-  let flagged : (Tid.t, unit) Hashtbl.t = Hashtbl.create 4 in
-  let cur : (Tid.t * int * int) option ref = ref None in
-  (* (txn, first index of the solo run, length) *)
-  List.iter
-    (fun (e : Access_log.entry) ->
-      let continue_run t first len =
-        let len = len + 1 in
-        if len > cfg.horizon && not (Hashtbl.mem flagged t) then begin
-          Hashtbl.add flagged t ();
-          findings :=
-            {
-              pass = "of-stall";
-              severity = Error;
-              step = Some e.Access_log.index;
-              txns = [ t ];
-              oids = [];
-              witness_steps = [ first; e.Access_log.index ];
-              message =
-                Printf.sprintf
-                  "%s has run %d steps step-contention-free (since step %d) \
-                   without committing or aborting (horizon %d)"
-                  (Tid.name t) len first cfg.horizon;
-            }
-            :: !findings
-        end;
-        cur := Some (t, first, len)
-      in
-      match (e.Access_log.tid, !cur) with
-      | Some t, Some (t', first, len)
-        when Tid.equal t t'
-             && not (Hashtbl.mem completion t) ->
-          continue_run t first len
-      | Some t, _ when not (Hashtbl.mem completion t) ->
-          continue_run t e.Access_log.index 0
-      | _ -> cur := None)
-    i.log;
+  let stalls =
+    List.map
+      (fun (t, first, at, len) ->
+        {
+          pass = "of-stall";
+          severity = Error;
+          step = Some at;
+          txns = [ t ];
+          oids = [];
+          witness_steps = [ first; at ];
+          message =
+            Printf.sprintf
+              "%s has run %d steps step-contention-free (since step %d) \
+               without committing or aborting (horizon %d)"
+              (Tid.name t) len first cfg.horizon;
+        })
+      (solo_runs cfg i)
+  in
   let uncontended_aborts =
     List.map
       (fun (v : Obstruction_freedom.violation) ->
@@ -306,7 +278,7 @@ let of_stall_run (cfg : config) (i : input) : finding list =
          i.history
          (Access_log.of_entries i.log))
   in
-  cap cfg (List.rev !findings @ uncontended_aborts)
+  cap cfg (stalls @ uncontended_aborts)
 
 let of_stall : pass =
   {
@@ -347,16 +319,37 @@ let pairs l =
   in
   List.rev (go [] l)
 
+(* every transaction's writes and global reads, computed once per run *)
+let footprints h tids =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun t -> Hashtbl.add tbl t (History.writes h t, global_reads_at h t))
+    tids;
+  Hashtbl.find tbl
+
+(* the (item, value) -> writers index over every transaction's writes *)
+let writers h =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun xv ->
+          Hashtbl.replace tbl xv
+            (t :: Option.value ~default:[] (Hashtbl.find_opt tbl xv)))
+        (History.writes h t))
+    (History.txns h);
+  fun x v -> Option.value ~default:[] (Hashtbl.find_opt tbl (x, v))
+
 let lost_update_run (cfg : config) (i : input) : finding list =
   let h = i.history in
   let committed = List.filter (History.committed h) (History.txns h) in
+  let footprint = footprints h committed in
   let findings =
     List.filter_map
       (fun (t1, t2) ->
         if not (History.concurrent h t1 t2) then None
         else
-          let w1 = History.writes h t1 and w2 = History.writes h t2 in
-          let r1 = global_reads_at h t1 and r2 = global_reads_at h t2 in
+          let w1, r1 = footprint t1 and w2, r2 = footprint t2 in
           List.find_map
             (fun (x, v, at1) ->
               match
@@ -403,13 +396,13 @@ let lost_update : pass =
 let write_skew_run (cfg : config) (i : input) : finding list =
   let h = i.history in
   let committed = List.filter (History.committed h) (History.txns h) in
+  let footprint = footprints h committed and writers_of = writers h in
   let findings =
     List.filter_map
       (fun (t1, t2) ->
         if not (History.concurrent h t1 t2) then None
         else
-          let w1 = History.writes h t1 and w2 = History.writes h t2 in
-          let r1 = global_reads_at h t1 and r2 = global_reads_at h t2 in
+          let w1, r1 = footprint t1 and w2, r2 = footprint t2 in
           (* x written by t1 only, y written by t2 only; each read the
              other's item in its pre-state *)
           let only_in w w' =
@@ -432,12 +425,8 @@ let write_skew_run (cfg : config) (i : input) : finding list =
                      (List.exists
                         (fun tu ->
                           (not (Tid.equal tu writer))
-                          && List.exists
-                               (fun (yi, wv) ->
-                                 Item.equal yi item && Value.equal wv v)
-                               (History.writes h tu)
                           && not (History.precedes h tu writer))
-                        (History.txns h)))
+                        (writers_of item v)))
               rr
           in
           List.find_map
@@ -493,50 +482,35 @@ let torn_snapshot_run (cfg : config) (i : input) : finding list =
   let h = i.history in
   let txns = History.txns h in
   let committed = List.filter (History.committed h) txns in
-  (* one history walk up front: per-txn write sets, and an
-     (item, value) -> writers index for attribution queries *)
-  let writes_of = List.map (fun t -> (t, History.writes h t)) txns in
-  let writers : (string, Tid.t list) Hashtbl.t = Hashtbl.create 64 in
-  let key x v = Item.name x ^ "=" ^ Value.show v in
-  List.iter
-    (fun (t, ws) ->
-      List.iter
-        (fun (x, v) ->
-          let k = key x v in
-          Hashtbl.replace writers k
-            (t :: Option.value ~default:[] (Hashtbl.find_opt writers k)))
-        ws)
-    writes_of;
-  let writers_of x v =
-    Option.value ~default:[] (Hashtbl.find_opt writers (key x v))
-  in
+  let writers_of = writers h in
   let reads_of = List.map (fun t -> (t, global_reads_at h t)) txns in
   let findings =
     List.filter_map
       (fun tw ->
-        let ww = List.assoc tw writes_of in
+        let ww = History.writes h tw in
+        (* attribute a read to tw only when the value pins the writer:
+           under lost updates (allowed by the paper's SI) two writers can
+           install the same value, and blaming tw for another writer's
+           copy would fabricate a tear *)
+        let pinned =
+          List.filter
+            (fun (x, vx) ->
+              not
+                (List.exists
+                   (fun tu -> not (Tid.equal tu tw))
+                   (writers_of x vx)))
+            ww
+        in
         List.find_map
           (fun (tr, rr) ->
             if Tid.equal tr tw then None
             else
               List.find_map
                 (fun (x, vx) ->
-                  (* attribute the read to tw only when the value pins the
-                     writer: under lost updates (allowed by the paper's SI)
-                     two writers can install the same value, and blaming tw
-                     for another writer's copy would fabricate a tear *)
-                  let ambiguous =
-                    List.exists
-                      (fun tu -> not (Tid.equal tu tw))
-                      (writers_of x vx)
-                  in
                   match
-                    if ambiguous then None
-                    else
-                      List.find_opt
-                        (fun (it, v, _) ->
-                          Item.equal it x && Value.equal v vx)
-                        rr
+                    List.find_opt
+                      (fun (it, v, _) -> Item.equal it x && Value.equal v vx)
+                      rr
                   with
                   | None -> None
                   | Some (_, _, atx) ->
@@ -583,7 +557,7 @@ let torn_snapshot_run (cfg : config) (i : input) : finding list =
                                           (Tid.name tw);
                                     })
                         ww)
-                ww)
+                pinned)
           reads_of)
       committed
   in

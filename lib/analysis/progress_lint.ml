@@ -36,15 +36,6 @@ open Tm_trace
 open Tm_impl
 open Lint
 
-let cap (cfg : config) findings =
-  if List.length findings <= cfg.max_findings then findings
-  else
-    let rec take n = function
-      | x :: rest when n > 0 -> x :: take (n - 1) rest
-      | _ -> []
-    in
-    take cfg.max_findings findings
-
 (* ------------------------------------------------------------------ *)
 (* progressiveness *)
 
@@ -54,38 +45,27 @@ let write_intent (h : History.t) tid : Item.Set.t =
   List.fold_left
     (fun acc ev ->
       match ev with
-      | Event.Inv { tid = t; op = Event.Write (x, _); _ }
-        when Tid.equal t tid ->
-          Item.Set.add x acc
+      | Event.Inv { op = Event.Write (x, _); _ } -> Item.Set.add x acc
       | _ -> acc)
-    (History.write_set h tid)
-    (History.to_list h)
+    (History.write_set h tid) (History.per_txn h tid)
 
 (* was the abort requested by the client's own abort_T call? *)
 let client_aborted (h : History.t) tid =
   List.exists
-    (fun ev ->
-      match ev with
-      | Event.Inv { tid = t; op = Event.Abort_call; _ } -> Tid.equal t tid
-      | _ -> false)
-    (History.to_list h)
+    (function Event.Inv { op = Event.Abort_call; _ } -> true | _ -> false)
+    (History.per_txn h tid)
 
 let abort_stamp (h : History.t) tid =
   List.fold_left
     (fun acc ev ->
       match ev with
-      | Event.Resp { tid = t; resp = Event.R_aborted; at; _ }
-        when Tid.equal t tid ->
-          Some at
+      | Event.Resp { resp = Event.R_aborted; at; _ } -> Some at
       | _ -> acc)
-    None (History.to_list h)
+    None (History.per_txn h tid)
 
 let progressiveness_run (cfg : config) (i : input) : finding list =
   let h = i.history in
-  let data_sets = effective_data_sets i in
-  let data_of tid =
-    Option.value ~default:Item.Set.empty (List.assoc_opt tid data_sets)
-  in
+  let data_of = Tm_dap.Conflict.lookup (effective_data_sets i) in
   (* arm 1: every TM-forced abort needs a conflicting concurrent txn *)
   let unattributed =
     List.filter_map
@@ -104,8 +84,7 @@ let progressiveness_run (cfg : config) (i : input) : finding list =
                 && not
                      (Item.Set.is_empty
                         (Item.Set.inter shared
-                           (Item.Set.union my_writes
-                              (write_intent h other)))))
+                           (Item.Set.union my_writes (write_intent h other)))))
               (History.txns h)
           in
           match attribution with
@@ -137,52 +116,26 @@ let progressiveness_run (cfg : config) (i : input) : finding list =
   in
   (* arm 2: a step-contention-free run past the horizon without
      completing — the commit obligation of progressiveness *)
-  let completion : (Tid.t, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Event.Resp { tid; resp = Event.R_committed | Event.R_aborted; at; _ }
-        ->
-          Hashtbl.replace completion tid at
-      | _ -> ())
-    (History.to_list h);
-  let stalls = ref [] in
-  let flagged : (Tid.t, unit) Hashtbl.t = Hashtbl.create 4 in
-  let cur : (Tid.t * int * int) option ref = ref None in
-  List.iter
-    (fun (e : Access_log.entry) ->
-      let continue_run t first len =
-        let len = len + 1 in
-        if len > cfg.horizon && not (Hashtbl.mem flagged t) then begin
-          Hashtbl.add flagged t ();
-          stalls :=
-            {
-              pass = "progressiveness";
-              severity = Error;
-              step = Some e.Access_log.index;
-              txns = [ t ];
-              oids = [];
-              witness_steps = [ first; e.Access_log.index ];
-              message =
-                Printf.sprintf
-                  "%s has run %d steps step-contention-free (since step %d) \
-                   without committing: a progressive TM must commit every \
-                   step-contention-free transaction (horizon %d)"
-                  (Tid.name t) len first cfg.horizon;
-            }
-            :: !stalls
-        end;
-        cur := Some (t, first, len)
-      in
-      match (e.Access_log.tid, !cur) with
-      | Some t, Some (t', first, len)
-        when Tid.equal t t' && not (Hashtbl.mem completion t) ->
-          continue_run t first len
-      | Some t, _ when not (Hashtbl.mem completion t) ->
-          continue_run t e.Access_log.index 0
-      | _ -> cur := None)
-    i.log;
-  cap cfg (unattributed @ List.rev !stalls)
+  let stalls =
+    List.map
+      (fun (t, first, at, len) ->
+        {
+          pass = "progressiveness";
+          severity = Error;
+          step = Some at;
+          txns = [ t ];
+          oids = [];
+          witness_steps = [ first; at ];
+          message =
+            Printf.sprintf
+              "%s has run %d steps step-contention-free (since step %d) \
+               without committing: a progressive TM must commit every \
+               step-contention-free transaction (horizon %d)"
+              (Tid.name t) len first cfg.horizon;
+        })
+      (solo_runs cfg i)
+  in
+  cap cfg (unattributed @ stalls)
 
 let progressiveness : pass =
   {

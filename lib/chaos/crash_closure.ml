@@ -198,7 +198,7 @@ let pass : Lint.pass =
           if n > cfg.Lint.max_findings then (
             Tm_obs.Sink.add "lint_findings_dropped_total"
               (n - cfg.Lint.max_findings);
-            List.filteri (fun i _ -> i < cfg.Lint.max_findings) findings)
+            Lint.cap cfg findings)
           else findings);
   }
 

@@ -17,6 +17,11 @@ let data_set (ds : data_sets) tid =
   | Some s -> s
   | None -> Item.Set.empty
 
+let lookup (ds : data_sets) =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (t, s) -> Hashtbl.replace tbl t s) (List.rev ds);
+  fun tid -> Option.value ~default:Item.Set.empty (Hashtbl.find_opt tbl tid)
+
 let conflict (ds : data_sets) t1 t2 =
   (not (Tid.equal t1 t2))
   && not (Item.Set.is_empty (Item.Set.inter (data_set ds t1) (data_set ds t2)))

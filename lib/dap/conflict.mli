@@ -12,6 +12,10 @@ type data_sets = (Tid.t * Item.Set.t) list
     collected from the accesses actually performed. *)
 
 val data_set : data_sets -> Tid.t -> Item.Set.t
+val lookup : data_sets -> Tid.t -> Item.Set.t
+(** [lookup ds] is [data_set ds] resolved once into a Tid-keyed table,
+    so each lookup is O(1). *)
+
 val conflict : data_sets -> Tid.t -> Tid.t -> bool
 
 type graph = { nodes : Tid.t list; adj : (Tid.t, Tid.t list) Hashtbl.t }

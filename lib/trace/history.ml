@@ -1,20 +1,58 @@
 (* Histories (Section 3): sequences of invocations and responses performed
    by transactions, with the derived notions used throughout the paper —
    well-formedness, H|T, transaction status, the precedence relation, and
-   the read/write projections that the consistency definitions build on. *)
+   the read/write projections that the consistency definitions build on.
+
+   Every per-transaction query goes through an index built lazily, in one
+   pass over the events, on the first such query: each transaction's
+   event-position chain (ascending), its begin-invocation position, and
+   the first-seen order of transactions.  A history built by [append],
+   [restrict] or [truncate_at] carries its own index. *)
 
 open Tm_base
 
-type t = { events : Event.t array }
+type txn = {
+  chain : int array;  (** the transaction's event positions, ascending *)
+  begin_at : int option;  (** position of its first begin invocation *)
+}
 
-let of_list events = { events = Array.of_list events }
+module Tids = Hashtbl.Make (Int)
+
+type index = { order : Tid.t list; by_tid : txn Tids.t }
+type t = { events : Event.t array; index : index Lazy.t }
+
+let build events =
+  let chains = Tids.create 16 and order = ref [] in
+  Array.iteri
+    (fun i e ->
+      let tid = Event.tid e in
+      match Tids.find_opt chains tid with
+      | Some c -> c := i :: !c
+      | None ->
+          order := tid :: !order;
+          Tids.add chains tid (ref [ i ]))
+    events;
+  let by_tid = Tids.create (Tids.length chains) in
+  let is_begin i =
+    match events.(i) with Event.Inv { op = Event.Begin; _ } -> true | _ -> false
+  in
+  Tids.iter
+    (fun tid c ->
+      let chain = Array.of_list (List.rev !c) in
+      Tids.add by_tid tid { chain; begin_at = Array.find_opt is_begin chain })
+    chains;
+  { order = List.rev !order; by_tid }
+
+let of_array events = { events; index = lazy (build events) }
+let of_list events = of_array (Array.of_list events)
 let to_list t = Array.to_list t.events
 let events = to_list
 let length t = Array.length t.events
 let get t i = t.events.(i)
 let is_empty t = Array.length t.events = 0
-
-let append t evs = { events = Array.append t.events (Array.of_list evs) }
+let append t evs = of_array (Array.append t.events (Array.of_list evs))
+let txn t tid = Tids.find_opt (Lazy.force t.index).by_tid tid
+let last x = x.chain.(Array.length x.chain - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Projections *)
@@ -22,41 +60,17 @@ let append t evs = { events = Array.append t.events (Array.of_list evs) }
 (** [per_txn t tid] is the paper's H|T: the longest subsequence consisting
     only of events of [tid]. *)
 let per_txn t tid =
-  List.filter (fun e -> Tid.equal (Event.tid e) tid) (to_list t)
-
-let by_pid t pid = List.filter (fun e -> Event.pid e = pid) (to_list t)
+  match txn t tid with
+  | None -> []
+  | Some x -> Array.fold_right (fun i acc -> t.events.(i) :: acc) x.chain []
 
 (** Transactions appearing in the history, ordered by first event. *)
-let txns t =
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  Array.iter
-    (fun e ->
-      let tid = Event.tid e in
-      if not (Hashtbl.mem seen tid) then begin
-        Hashtbl.add seen tid ();
-        acc := tid :: !acc
-      end)
-    t.events;
-  List.rev !acc
+let txns t = (Lazy.force t.index).order
 
-(* distinct transaction count without materializing the [txns] list *)
-let txn_count t =
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun e ->
-      let tid = Event.tid e in
-      if not (Hashtbl.mem seen tid) then Hashtbl.add seen tid ())
-    t.events;
-  Hashtbl.length seen
-
-let pids t =
-  List.sort_uniq compare (List.map Event.pid (to_list t))
+let txn_count t = Tids.length (Lazy.force t.index).by_tid
 
 let pid_of_txn t tid =
-  match per_txn t tid with
-  | [] -> None
-  | e :: _ -> Some (Event.pid e)
+  Option.map (fun x -> Event.pid t.events.(x.chain.(0))) (txn t tid)
 
 (* ------------------------------------------------------------------ *)
 (* Status *)
@@ -65,18 +79,14 @@ type status = Committed | Aborted | Commit_pending | Live
 [@@deriving show { with_path = false }, eq]
 
 let status t tid =
-  let rec last_two acc = function
-    | [] -> acc
-    | e :: rest -> last_two (Some e) rest
-  in
-  match per_txn t tid with
-  | [] -> Live
-  | evs -> (
-      match last_two None evs with
-      | Some (Event.Resp { resp = Event.R_committed; _ }) -> Committed
-      | Some (Event.Resp { resp = Event.R_aborted; _ }) -> Aborted
-      | Some (Event.Inv { op = Event.Try_commit; _ }) -> Commit_pending
-      | Some _ | None -> Live)
+  match txn t tid with
+  | None -> Live
+  | Some x -> (
+      match t.events.(last x) with
+      | Event.Resp { resp = Event.R_committed; _ } -> Committed
+      | Event.Resp { resp = Event.R_aborted; _ } -> Aborted
+      | Event.Inv { op = Event.Try_commit; _ } -> Commit_pending
+      | _ -> Live)
 
 let committed t tid = equal_status (status t tid) Committed
 let aborted t tid = equal_status (status t tid) Aborted
@@ -95,31 +105,11 @@ let complete t = List.for_all (fun tid -> not (live t tid)) (txns t)
 (* Positions and ordering *)
 
 let positions_of_txn t tid =
-  let first = ref (-1) and last = ref (-1) in
-  Array.iteri
-    (fun i e ->
-      if Tid.equal (Event.tid e) tid then begin
-        if !first < 0 then first := i;
-        last := i
-      end)
-    t.events;
-  if !first < 0 then None else Some (!first, !last)
+  Option.map (fun x -> (x.chain.(0), last x)) (txn t tid)
 
 let first_pos t tid = Option.map fst (positions_of_txn t tid)
 let last_pos t tid = Option.map snd (positions_of_txn t tid)
-
-let begin_pos t tid =
-  let n = Array.length t.events in
-  let rec find i =
-    if i >= n then None
-    else
-      match t.events.(i) with
-      | Event.Inv { tid = tid'; op = Event.Begin; _ }
-        when Tid.equal tid' tid ->
-          Some i
-      | _ -> find (i + 1)
-  in
-  find 0
+let begin_pos t tid = Option.bind (txn t tid) (fun x -> x.begin_at)
 
 (** Transactions ordered by the position of their begin invocation —
     the axis on which consistency partitions (Def. 3.3) are built. *)
@@ -164,24 +154,28 @@ type read = {
   pos : int;  (** position of the response event in the history *)
 }
 
+(* [fold_txn t tid f acc] folds [f] over the transaction's own events,
+   in order, with their positions *)
+let fold_txn t tid f acc =
+  match txn t tid with
+  | None -> acc
+  | Some x -> Array.fold_left (fun acc i -> f acc i t.events.(i)) acc x.chain
+
 (** Successful reads of [tid] in order, classified global/local. *)
 let reads t tid =
   let written = Hashtbl.create 8 in
-  let acc = ref [] in
-  Array.iteri
-    (fun i e ->
-      match e with
-      | Event.Inv { tid = tid'; op = Event.Write (x, _); _ }
-        when Tid.equal tid' tid ->
-          Hashtbl.replace written x ()
-      | Event.Resp
-          { tid = tid'; op = Event.Read x; resp = Event.R_value v; _ }
-        when Tid.equal tid' tid ->
-          let global = not (Hashtbl.mem written x) in
-          acc := { item = x; value = v; global; pos = i } :: !acc
-      | _ -> ())
-    t.events;
-  List.rev !acc
+  List.rev
+    (fold_txn t tid
+       (fun acc i e ->
+         match e with
+         | Event.Inv { op = Event.Write (x, _); _ } ->
+             Hashtbl.replace written x ();
+             acc
+         | Event.Resp { op = Event.Read x; resp = Event.R_value v; _ } ->
+             let global = not (Hashtbl.mem written x) in
+             { item = x; value = v; global; pos = i } :: acc
+         | _ -> acc)
+       [])
 
 let global_reads t tid =
   List.filter_map
@@ -191,23 +185,18 @@ let global_reads t tid =
 (** Successful writes of [tid] in order — the paper's T|write. *)
 let writes t tid =
   let pending = ref None in
-  let acc = ref [] in
-  Array.iter
-    (fun e ->
-      match e with
-      | Event.Inv { tid = tid'; op = Event.Write (x, v); _ }
-        when Tid.equal tid' tid ->
-          pending := Some (x, v)
-      | Event.Resp { tid = tid'; op = Event.Write _; resp = Event.R_ok; _ }
-        when Tid.equal tid' tid -> (
-          match !pending with
-          | Some wv ->
-              acc := wv :: !acc;
-              pending := None
-          | None -> ())
-      | _ -> ())
-    t.events;
-  List.rev !acc
+  List.rev
+    (fold_txn t tid
+       (fun acc _ e ->
+         match (e, !pending) with
+         | Event.Inv { op = Event.Write (x, v); _ }, _ ->
+             pending := Some (x, v);
+             acc
+         | Event.Resp { op = Event.Write _; resp = Event.R_ok; _ }, Some wv ->
+             pending := None;
+             wv :: acc
+         | _ -> acc)
+       [])
 
 let write_set t tid = Item.set_of_list (List.map fst (writes t tid))
 

@@ -7,6 +7,11 @@
 open Tm_base
 
 type t
+(** A history with its per-transaction index (event-position chain,
+    begin position, first-seen order), built on the first
+    per-transaction query; those queries then answer in O(1) or
+    O(answer), and [reads]/[writes] walk only the transaction's own
+    events. *)
 
 val of_list : Event.t list -> t
 val to_list : t -> Event.t list
@@ -25,15 +30,12 @@ val per_txn : t -> Tid.t -> Event.t list
 (** The paper's H|T: the longest subsequence of events of one
     transaction. *)
 
-val by_pid : t -> int -> Event.t list
-
 val txns : t -> Tid.t list
 (** Transactions appearing in the history, ordered by first event. *)
 
 val txn_count : t -> int
 (** [List.length (txns t)], without materializing the list. *)
 
-val pids : t -> int list
 val pid_of_txn : t -> Tid.t -> int option
 
 (** {1 Status} *)

@@ -245,6 +245,199 @@ let prop_tests =
 
 
 (* ------------------------------------------------------------------ *)
+(* indexed query = scan: the history's per-transaction index must answer
+   every query exactly as a whole-array scan does.  [Scan] is the
+   reference: the straightforward implementations over the event array. *)
+
+module Scan = struct
+  let per_txn evs tid =
+    List.filter (fun e -> Tid.equal (Event.tid e) tid) (Array.to_list evs)
+
+  let txns evs =
+    let seen = Hashtbl.create 16 and acc = ref [] in
+    Array.iter
+      (fun e ->
+        let tid = Event.tid e in
+        if not (Hashtbl.mem seen tid) then begin
+          Hashtbl.add seen tid ();
+          acc := tid :: !acc
+        end)
+      evs;
+    List.rev !acc
+
+  let pid_of_txn evs tid =
+    match per_txn evs tid with [] -> None | e :: _ -> Some (Event.pid e)
+
+  let status evs tid : History.status =
+    match List.rev (per_txn evs tid) with
+    | Event.Resp { resp = Event.R_committed; _ } :: _ -> Committed
+    | Event.Resp { resp = Event.R_aborted; _ } :: _ -> Aborted
+    | Event.Inv { op = Event.Try_commit; _ } :: _ -> Commit_pending
+    | _ -> Live
+
+  let positions_of_txn evs tid =
+    let first = ref (-1) and last = ref (-1) in
+    Array.iteri
+      (fun i e ->
+        if Tid.equal (Event.tid e) tid then begin
+          if !first < 0 then first := i;
+          last := i
+        end)
+      evs;
+    if !first < 0 then None else Some (!first, !last)
+
+  let begin_pos evs tid =
+    let rec find i =
+      if i >= Array.length evs then None
+      else
+        match evs.(i) with
+        | Event.Inv { tid = t; op = Event.Begin; _ } when Tid.equal t tid ->
+            Some i
+        | _ -> find (i + 1)
+    in
+    find 0
+
+  let precedes evs t1 t2 =
+    match (status evs t1, positions_of_txn evs t1, begin_pos evs t2) with
+    | (Committed | Aborted), Some (_, l1), Some b2 -> l1 < b2
+    | _ -> false
+
+  let concurrent evs t1 t2 =
+    (not (Tid.equal t1 t2))
+    && (not (precedes evs t1 t2))
+    && not (precedes evs t2 t1)
+
+  let reads evs tid =
+    let written = Hashtbl.create 8 and acc = ref [] in
+    Array.iteri
+      (fun i e ->
+        match e with
+        | Event.Inv { tid = t; op = Event.Write (x, _); _ } when Tid.equal t tid
+          ->
+            Hashtbl.replace written x ()
+        | Event.Resp { tid = t; op = Event.Read x; resp = Event.R_value v; _ }
+          when Tid.equal t tid ->
+            acc :=
+              { History.item = x; value = v;
+                global = not (Hashtbl.mem written x); pos = i }
+              :: !acc
+        | _ -> ())
+      evs;
+    List.rev !acc
+
+  let writes evs tid =
+    let pending = ref None and acc = ref [] in
+    Array.iter
+      (fun e ->
+        match e with
+        | Event.Inv { tid = t; op = Event.Write (x, v); _ } when Tid.equal t tid
+          ->
+            pending := Some (x, v)
+        | Event.Resp { tid = t; op = Event.Write _; resp = Event.R_ok; _ }
+          when Tid.equal t tid -> (
+            match !pending with
+            | Some wv ->
+                acc := wv :: !acc;
+                pending := None
+            | None -> ())
+        | _ -> ())
+      evs;
+    List.rev !acc
+end
+
+(* every indexed query agrees with the scan, on every transaction of the
+   history and on one that does not occur in it *)
+let index_agrees hh =
+  let evs = Array.of_list (History.to_list hh) in
+  let tids = Scan.txns evs in
+  let probe = Tid.v 99 :: tids in
+  History.txns hh = tids
+  && History.txn_count hh = List.length tids
+  && List.for_all
+       (fun t ->
+         List.equal Event.equal (History.per_txn hh t) (Scan.per_txn evs t)
+         && History.pid_of_txn hh t = Scan.pid_of_txn evs t
+         && History.equal_status (History.status hh t) (Scan.status evs t)
+         && History.positions_of_txn hh t = Scan.positions_of_txn evs t
+         && History.begin_pos hh t = Scan.begin_pos evs t
+         && History.reads hh t = Scan.reads evs t
+         && History.writes hh t = Scan.writes evs t
+         && List.for_all
+              (fun u ->
+                History.precedes hh t u = Scan.precedes evs t u
+                && History.concurrent hh t u = Scan.concurrent evs t u)
+              probe)
+       probe
+
+(* raw event lists, not well-formed in general: missing begins, events
+   after C_T/A_T, one pid interleaving several tids *)
+let gen_raw_events : Event.t list QCheck.Gen.t =
+ fun st ->
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  List.init (Random.State.int st 30) (fun at ->
+      let tid = Tid.v (1 + Random.State.int st 4)
+      and pid = 1 + Random.State.int st 3
+      and x = pick [| Item.v "x"; Item.v "y" |]
+      and v = Value.int (Random.State.int st 3) in
+      let op =
+        pick [| Event.Begin; Read x; Write (x, v); Try_commit; Abort_call |]
+      in
+      if Random.State.bool st then Event.Inv { tid; pid; op; at }
+      else
+        let resp = pick [| Event.R_ok; R_value v; R_committed; R_aborted |] in
+        Event.Resp { tid; pid; op; resp; at })
+
+(* legal per-transaction programs, interleaved at random *)
+let gen_interleaved_instrs : Build.instr list QCheck.Gen.t =
+ fun st ->
+  let tid_of = function
+    | B (t, _) | R (t, _, _) | Rv (t, _, _) | W (t, _, _) | Wv (t, _, _)
+    | Ra (t, _) | Wa (t, _, _) | C t | Ca t | Cp t | A t ->
+        t
+  in
+  let instrs = gen_legal_instrs st in
+  let queues =
+    List.sort_uniq compare (List.map tid_of instrs)
+    |> List.map (fun t -> ref (List.filter (fun i -> tid_of i = t) instrs))
+  in
+  let rec merge acc =
+    match List.filter (fun q -> !q <> []) queues with
+    | [] -> List.rev acc
+    | live ->
+        let q = List.nth live (Random.State.int st (List.length live)) in
+        let i = List.hd !q in
+        q := List.tl !q;
+        merge (i :: acc)
+  in
+  merge []
+
+(* the law on [hh] and on the histories derived from it, each of which
+   must carry its own index: the parent's is forced first *)
+let index_law hh extra k =
+  ignore (History.txns hh);
+  index_agrees hh
+  && index_agrees (History.restrict hh (Tid.Set.of_list [ Tid.v 1; Tid.v 3 ]))
+  && index_agrees (History.truncate_at hh k)
+  && index_agrees (History.append hh extra)
+
+let index_tests =
+  let law name gen to_history =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name
+         (QCheck.make
+            QCheck.Gen.(triple gen gen_raw_events (int_bound 40)))
+         (fun (x, extra, k) -> index_law (to_history x) extra k))
+  in
+  [
+    law "indexed queries = scan on replayed sequential histories"
+      gen_legal_instrs Build.history;
+    law "indexed queries = scan on interleaved histories"
+      gen_interleaved_instrs Build.history;
+    law "indexed queries = scan on raw event lists" gen_raw_events
+      History.of_list;
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* wire format *)
 
 let normalize hh =
@@ -369,5 +562,6 @@ let () =
       ("well-formed", wf_tests);
       ("legality", legality_tests);
       ("properties", prop_tests);
+      ("index", index_tests);
       ("wire", wire_tests);
     ]
