@@ -497,7 +497,9 @@ let chaos_overhead ~iters () =
    run per mode suffices; the numbers that matter are nodes visited per
    second (engine throughput) and the reduction ratio (how much of the
    naive tree DPOR proves redundant while enumerating the same final
-   histories). *)
+   histories).  Each sweep starts from an empty verdict store and counts
+   the checker decisions it pays for (store misses), so the rows show
+   that the store spares one decision per repeated history. *)
 
 type explore_row = {
   etm : string;
@@ -505,11 +507,21 @@ type explore_row = {
   naive_execs : int;
   naive_secs : float;
   naive_truncated : bool;
+  naive_decisions : int;
   por_nodes : int;
   por_execs : int;
   por_secs : float;
   por_truncated : bool;
+  por_decisions : int;
 }
+
+let decisions () =
+  match
+    Metrics.find (Sink.metrics Sink.default)
+      ~labels:[ ("result", "miss") ] "checker_cache_total"
+  with
+  | Some (Metrics.VCounter n) -> n
+  | _ -> 0
 
 let explore_bench () : explore_row list =
   Format.printf
@@ -520,12 +532,14 @@ let explore_bench () : explore_row list =
     (fun impl ->
       let (module M : Tm_intf.S) = impl in
       let timed por =
+        Checkers.clear ();
+        let d0 = decisions () in
         let t0 = Sys.time () in
         let _rows, st = Explore_sweep.run ~por impl in
-        (st, Sys.time () -. t0)
+        (st, Sys.time () -. t0, decisions () - d0)
       in
-      let n, nt = timed false in
-      let p, pt = timed true in
+      let n, nt, nd = timed false in
+      let p, pt, pd = timed true in
       let rate (st : Explorer.stats) t =
         if t <= 0. then Float.nan else float_of_int st.Explorer.nodes /. t
       in
@@ -542,10 +556,12 @@ let explore_bench () : explore_row list =
         naive_execs = n.Explorer.executions;
         naive_secs = nt;
         naive_truncated = n.Explorer.truncated;
+        naive_decisions = nd;
         por_nodes = p.Explorer.nodes;
         por_execs = p.Explorer.executions;
         por_secs = pt;
         por_truncated = p.Explorer.truncated;
+        por_decisions = pd;
       })
     Registry.all
 
@@ -691,10 +707,12 @@ let explore_row_json (r : explore_row) : Obs_json.t =
       ("naive_executions", Obs_json.Int r.naive_execs);
       ("naive_nodes_per_sec", Obs_json.Float (rate r.naive_nodes r.naive_secs));
       ("naive_truncated", Obs_json.Bool r.naive_truncated);
+      ("naive_decisions", Obs_json.Int r.naive_decisions);
       ("por_nodes", Obs_json.Int r.por_nodes);
       ("por_executions", Obs_json.Int r.por_execs);
       ("por_nodes_per_sec", Obs_json.Float (rate r.por_nodes r.por_secs));
       ("por_truncated", Obs_json.Bool r.por_truncated);
+      ("por_decisions", Obs_json.Int r.por_decisions);
       ( "reduction_ratio",
         Obs_json.Float
           (float_of_int r.naive_nodes /. float_of_int (max 1 r.por_nodes)) );

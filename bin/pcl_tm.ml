@@ -1661,6 +1661,11 @@ let soak_cmd =
                 (o, int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)))
           in
           let p = o.Soak.progress in
+          let stop =
+            match o.Soak.stall with
+            | Some _ -> "stalled"
+            | None -> if o.Soak.starved then "starved" else "completed"
+          in
           (* the byte-deterministic totals line *)
           lines :=
             Obs_json.Obj
@@ -1673,11 +1678,7 @@ let soak_cmd =
                 ("aborts", Obs_json.Int p.Soak.aborts);
                 ("steps", Obs_json.Int p.Soak.steps);
                 ("segments", Obs_json.Int p.Soak.segments);
-                ( "stop",
-                  Obs_json.String
-                    (match o.Soak.stall with
-                    | None -> "completed"
-                    | Some _ -> "stalled") );
+                ("stop", Obs_json.String stop);
               ]
             :: !lines;
           (* the perf record: the one place wall-clock and GC numbers
@@ -1696,15 +1697,23 @@ let soak_cmd =
                            %d segments [%s]@."
               M.name p.Soak.txns_done txns p.Soak.aborts p.Soak.steps
               p.Soak.segments
-              (match o.Soak.stall with
-              | None -> "completed"
-              | Some _ -> "STALLED");
+              (if stop = "completed" then stop else String.uppercase_ascii stop);
             let fsteps = float_of_int (max 1 p.Soak.steps) in
             Format.printf "  perf: %.1f ns/step, %.1f words/step@."
               (float_of_int wall_ns /. fsteps)
               (Gcstat.allocated_words gcm /. fsteps)
           end;
           match o.Soak.stall with
+          | None when o.Soak.starved ->
+              first_stall :=
+                Some
+                  (Reason.Soak_starved
+                     {
+                       tm = M.name;
+                       segments = Soak.starve_limit;
+                       txns = p.Soak.txns_done;
+                       target = txns;
+                     })
           | None -> ()
           | Some st ->
               first_stall :=

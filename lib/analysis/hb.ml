@@ -33,11 +33,7 @@ type step = {
   sync : bool;
 }
 
-type t = {
-  arr : step array;
-  by_index : (int, int) Hashtbl.t;  (** global step index -> pos *)
-  final : (int, Vclock.t) Hashtbl.t;  (** pid -> final clock *)
-}
+type t = { arr : step array }
 
 let is_sync : Primitive.t -> bool = function
   | Primitive.Read | Primitive.Write _ -> false
@@ -109,7 +105,6 @@ let analyse ?history (log : Access_log.entry list) : t =
         in
         prefix_join (count 0 (Array.length completions))
   in
-  let by_index = Hashtbl.create (max 16 len) in
   let arr =
     Array.init len (fun pos ->
         let e = items.(pos) in
@@ -137,10 +132,9 @@ let analyse ?history (log : Access_log.entry list) : t =
         (match e.Access_log.tid with
         | Some t -> Hashtbl.replace tid_clock t after
         | None -> ());
-        Hashtbl.replace by_index e.Access_log.index pos;
         { pos; entry = e; before; after; sync })
   in
-  { arr; by_index; final = pid_clock }
+  { arr }
 
 let steps t = Array.to_list t.arr
 let length t = Array.length t.arr
@@ -149,8 +143,6 @@ let step t pos =
   if pos < 0 || pos >= Array.length t.arr then
     invalid_arg (Printf.sprintf "Hb.step: position %d out of range" pos);
   t.arr.(pos)
-
-let pos_of_index t index = Hashtbl.find_opt t.by_index index
 
 (* a happens-before b iff a's step clock is below b's: a's tick is
    included in b's knowledge.  Comparing [after a <= after b] plus
@@ -162,6 +154,3 @@ let happens_before t a b =
 
 let concurrent_pos t a b =
   (not (happens_before t a b)) && not (happens_before t b a)
-
-let clock_of_pid t pid =
-  Option.value ~default:Vclock.empty (Hashtbl.find_opt t.final pid)

@@ -41,18 +41,10 @@ val length : t -> int
 val step : t -> int -> step
 (** By dense position.  @raise Invalid_argument when out of range. *)
 
-val pos_of_index : t -> int -> int option
-(** Resolve a global step index ([Access_log.entry.index]) to a position
-    in the analysed trace ([None] if the index was not in the trace, e.g.
-    older than a flight window). *)
-
 val happens_before : t -> int -> int -> bool
 (** [happens_before t a b] — by dense positions; irreflexive. *)
 
 val concurrent_pos : t -> int -> int -> bool
-
-val clock_of_pid : t -> int -> Vclock.t
-(** Final clock of a process after the whole trace. *)
 
 val is_sync : Primitive.t -> bool
 (** Does a primitive kind synchronize (RMW-class), as opposed to a plain

@@ -3,8 +3,6 @@
     expected-findings table that separates "the lint confirming what the
     theorem says about this TM" from "a genuine surprise". *)
 
-open Tm_trace
-
 val builtin : Lint.pass list
 (** The trace passes ({!Passes.trace_passes}) plus
     {!Figure_lint.pass}. *)
@@ -22,7 +20,6 @@ val lookup : string -> lookup
 (** Exact name match, or a unique-prefix match ([tor] resolves to
     [torn-snapshot]); an ambiguous prefix reports its candidates. *)
 
-val find : string -> Lint.pass option
 val find_exn : string -> Lint.pass
 (** @raise Invalid_argument on unknown or ambiguous names. *)
 
@@ -45,7 +42,3 @@ val run_passes :
   ?config:Lint.config -> Lint.pass list -> Lint.input -> run_result
 (** Run the given passes over one input and classify the findings
     against the input's TM. *)
-
-val attach_verdicts : Flight.t -> Lint.finding list -> unit
-(** Record findings as verdict-provenance lines on a recorder, so dumped
-    artifacts carry their lint results. *)

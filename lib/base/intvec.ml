@@ -73,18 +73,6 @@ let set t i (v : int) =
     invalid_arg (Printf.sprintf "Intvec.set: index %d out of bounds 0..%d" i (t.len - 1));
   t.spine.(i lsr t.chunk_bits).(i land ((1 lsl t.chunk_bits) - 1)) <- v
 
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f (unsafe_get t i)
-  done
-
-let fold t ~init ~f =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (unsafe_get t i)
-  done;
-  !acc
-
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (unsafe_get t i :: acc) in
   go (t.len - 1) []

@@ -30,8 +30,6 @@ val unsafe_get : t -> int -> int
 val set : t -> int -> int -> unit
 (** @raise Invalid_argument out of bounds. *)
 
-val iter : t -> (int -> unit) -> unit
-val fold : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 val to_list : t -> int list
 
 val clear : t -> unit

@@ -152,8 +152,6 @@ let step_count t = Access_log.length t.log
     to attribute base-object traffic to the TM under test. *)
 let set_hook t f = t.hook <- Some f
 
-let clear_hook t = t.hook <- None
-
 (** Install the fault-injection hook.  It is consulted {e before} each
     primitive is applied; answering [Spurious_fail] on an RMW-class
     primitive (CAS / SC / try-lock) makes the step respond failure without
@@ -161,8 +159,6 @@ let clear_hook t = t.hook <- None
     the step is still logged and counted normally, so faulted runs replay
     bit-identically. *)
 let set_fault_hook t f = t.fault <- Some f
-
-let clear_fault_hook t = t.fault <- None
 
 (** Doomed-transaction poison: mark [pid]'s current transaction for a
     forced abort at its next transactional operation.  The flag lives here

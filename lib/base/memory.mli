@@ -52,8 +52,6 @@ val set_hook : t -> (Access_log.t -> int -> unit) -> unit
     one column ({!Access_log.prim_at}) instead of forcing an entry record
     per step.  The hook must not itself apply primitives. *)
 
-val clear_hook : t -> unit
-
 val set_fault_hook : t -> fault_hook -> unit
 (** Install the fault-injection hook (replacing any previous one).  It is
     consulted before each primitive is applied, with the step index the
@@ -63,8 +61,6 @@ val set_fault_hook : t -> fault_hook -> unit
     (reads, writes, fetch-add, unlock, LL).  Faulted steps are logged and
     counted normally (plus [mem_spurious_faults_total]), so a faulted run
     replays bit-identically under the same hook. *)
-
-val clear_fault_hook : t -> unit
 
 val poison : t -> int -> unit
 (** Doomed-transaction poison: [pid]'s current transaction is forced to

@@ -31,15 +31,6 @@ let name = function
   | Spurious_rmw -> "spurious"
   | Poison_txn -> "poison"
 
-let describe = function
-  | Baseline -> "no injected faults (control)"
-  | Crash_stop -> "one process crash-stops mid-run and never steps again"
-  | Park_delay -> "one process is suspended for a window, then resumes"
-  | Spurious_rmw ->
-      "the victim's CAS/SC/try-lock primitives fail spuriously for a \
-       window of global steps"
-  | Poison_txn -> "the victim's transaction is force-aborted, repeatedly"
-
 let of_name n = List.find_opt (fun k -> name k = n) all
 
 let of_name_exn n =

@@ -16,7 +16,6 @@ type klass =
 
 val all : klass list
 val name : klass -> string
-val describe : klass -> string
 val of_name : string -> klass option
 val of_name_exn : string -> klass
 

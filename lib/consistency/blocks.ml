@@ -98,9 +98,6 @@ type block =
   | Whole of Tid.t
   | Whole_ghost of Tid.t
 
-let block_tid = function
-  | Greads t | Wblock t | Fused t | Whole t | Whole_ghost t -> t
-
 let pp_block ppf = function
   | Greads t -> Fmt.pf ppf "%s.gr" (Tid.name t)
   | Wblock t -> Fmt.pf ppf "%s.w" (Tid.name t)

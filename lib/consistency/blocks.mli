@@ -38,7 +38,6 @@ type block =
   | Whole of Tid.t
   | Whole_ghost of Tid.t
 
-val block_tid : block -> Tid.t
 val pp_block : Format.formatter -> block -> unit
 
 (** {1 Evaluation over a persistent committed-state map} *)

@@ -1,41 +1,85 @@
 (* Registry of all consistency checkers, ordered roughly from strongest to
-   weakest along the paper's lattice. *)
+   weakest along the paper's lattice.
+
+   One verdict per distinct history: the registry checkers answer from one
+   bounded store keyed on the budget and the history's [at]-free
+   {!History.key}, holding a verdict slot per checker.  A DPOR sweep, a
+   crash-closure prefix re-check or a provenance shrink that meets a
+   history again pays a lookup, not a search.  Only a decision (a store
+   miss) records the [checker_*] latency, size and verdict metrics;
+   [checker_cache_total{result}] counts hits and misses alike. *)
 
 open Tm_trace
 
-(** Wrap a checker so every decision records its verdict, wall latency and
-    input size into the default telemetry sink (and appears as a
-    [checker.check] span). *)
-let instrument (c : Spec.checker) : Spec.checker =
-  let labels = [ ("checker", c.Spec.name) ] in
-  let check ?budget h =
-    Tm_obs.Sink.span ~labels "checker.check" (fun () ->
-        let v =
-          Tm_obs.Sink.time ~labels "checker_wall_ns" (fun () ->
-              c.Spec.check ?budget h)
-        in
-        Tm_obs.Sink.observe ~labels "checker_history_events"
-          (float_of_int (History.length h));
-        Tm_obs.Sink.incr
-          ~labels:(("verdict", Spec.verdict_to_string v) :: labels)
-          "checker_verdict_total";
-        v)
-  in
-  { c with Spec.check }
+let direct : Spec.checker list =
+  [
+    Opacity.checker;
+    Strict_serializability.checker;
+    Serializability.checker;
+    Causal.checker;
+    Processor_consistency.checker;
+    Pram.checker;
+    Snapshot_isolation.checker;
+    Snapshot_isolation_ei.checker;
+    Weak_adaptive.checker;
+  ]
+
+let capacity = 256
+
+(* (budget, history key) -> the verdicts decided so far, one slot per
+   registry checker; emptied whole when full *)
+let store : (int option * string, Spec.verdict option array) Hashtbl.t =
+  Hashtbl.create capacity
+
+let clear () = Hashtbl.reset store
+
+let slots ?budget h =
+  let key = (budget, History.key h) in
+  match Hashtbl.find_opt store key with
+  | Some s -> s
+  | None ->
+      if Hashtbl.length store >= capacity then Hashtbl.reset store;
+      let s = Array.make (List.length direct) None in
+      Hashtbl.add store key s;
+      s
+
+let cache_counter result =
+  lazy
+    (Tm_obs.Metrics.counter
+       (Tm_obs.Sink.metrics Tm_obs.Sink.default)
+       ~labels:[ ("result", result) ] "checker_cache_total")
+
+let hits = cache_counter "hit"
+let misses = cache_counter "miss"
+
+(* slot [i] of [s], deciding it with [c] on a miss: the decision records
+   its verdict, wall latency and input size into the default sink *)
+let verdict s i (c : Spec.checker) ?budget h =
+  match s.(i) with
+  | Some v ->
+      Tm_obs.Metrics.inc (Lazy.force hits);
+      v
+  | None ->
+      Tm_obs.Metrics.inc (Lazy.force misses);
+      let labels = [ ("checker", c.Spec.name) ] in
+      let v =
+        Tm_obs.Sink.time ~labels "checker_wall_ns" (fun () ->
+            c.Spec.check ?budget h)
+      in
+      Tm_obs.Sink.observe ~labels "checker_history_events"
+        (float_of_int (History.length h));
+      Tm_obs.Sink.incr
+        ~labels:(("verdict", Spec.verdict_to_string v) :: labels)
+        "checker_verdict_total";
+      s.(i) <- Some v;
+      v
 
 let all : Spec.checker list =
-  List.map instrument
-    [
-      Opacity.checker;
-      Strict_serializability.checker;
-      Serializability.checker;
-      Causal.checker;
-      Processor_consistency.checker;
-      Pram.checker;
-      Snapshot_isolation.checker;
-      Snapshot_isolation_ei.checker;
-      Weak_adaptive.checker;
-    ]
+  List.mapi
+    (fun i (c : Spec.checker) ->
+      let check ?budget h = verdict (slots ?budget h) i c ?budget h in
+      { c with Spec.check })
+    direct
 
 let find name =
   List.find_opt (fun (c : Spec.checker) -> c.Spec.name = name) all
@@ -45,11 +89,11 @@ let find_exn name =
   | Some c -> c
   | None -> invalid_arg (Printf.sprintf "Checkers.find_exn: %s" name)
 
-(** Evaluate every checker on a history. *)
+(** Evaluate every checker on a history, looking it up once. *)
 let matrix ?budget (h : History.t) : (string * Spec.verdict) list =
-  List.map
-    (fun (c : Spec.checker) -> (c.Spec.name, c.Spec.check ?budget h))
-    all
+  let s = slots ?budget h in
+  List.mapi (fun i (c : Spec.checker) -> (c.Spec.name, verdict s i c ?budget h))
+    direct
 
 (** Names of the checkers a history satisfies. *)
 let satisfied ?budget (h : History.t) : string list =

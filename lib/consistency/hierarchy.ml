@@ -44,8 +44,3 @@ let check_history ?budget (h : History.t) : violation list =
       | Spec.Sat, Spec.Unsat -> Some { stronger; weaker; history = h }
       | _ -> None)
     edges
-
-(** The weakest-to-strongest chain a history climbs: names of satisfied
-    checkers, in registry (strongest-first) order. *)
-let profile ?budget (h : History.t) : string list =
-  Checkers.satisfied ?budget h

@@ -16,5 +16,3 @@ type violation = { stronger : string; weaker : string; history : History.t }
 val check_history : ?budget:int -> History.t -> violation list
 (** Violated edges on one history: the stronger checker accepted but the
     weaker one refuted (budget exhaustion on either side never counts). *)
-
-val profile : ?budget:int -> History.t -> string list

@@ -100,7 +100,6 @@ let inc (c : counter) = incr c
 let add (c : counter) n = c := !c + n
 let counter_value (c : counter) = !c
 let set (g : gauge) v = g := v
-let gauge_value (g : gauge) = !g
 
 let observe (h : histogram) x =
   h.count <- h.count + 1;
@@ -188,10 +187,6 @@ let find t ?(labels = []) name : value option =
   Option.map
     (fun c -> value_of_cell c.v)
     (Hashtbl.find_opt t.cells (name, canon labels))
-
-let names t : string list =
-  Hashtbl.fold (fun (n, _) _ acc -> n :: acc) t.cells []
-  |> List.sort_uniq compare
 
 (** Sum of a counter over all its label sets. *)
 let sum_counters t name : int =

@@ -36,7 +36,6 @@ val inc : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 
 (** {1 One-shot conveniences} *)
@@ -71,7 +70,6 @@ val snapshot : t -> sample list
 (** All cells, sorted by (name, labels) — a deterministic order. *)
 
 val find : t -> ?labels:labels -> string -> value option
-val names : t -> string list
 
 val sum_counters : t -> string -> int
 (** Sum of a counter over all its label sets. *)

@@ -67,6 +67,7 @@ type t =
       cells : int;  (* (tm, cm) cells executed across all scenarios *)
       quarantined : int;  (* known-bad scenarios downgraded to warnings *)
     }
+  | Soak_starved of { tm : string; segments : int; txns : int; target : int }
 
 exception Exit_reason of t
 
@@ -84,6 +85,7 @@ let code = function
   | Soak_stall _ -> "PCL-E108"
   | Progress_violation _ -> "PCL-E109"
   | Conform_failure _ -> "PCL-E110"
+  | Soak_starved _ -> "PCL-E111"
 
 (* code -> one-line meaning; the docs reason-code table mirrors this *)
 let catalogue =
@@ -106,6 +108,8 @@ let catalogue =
                   (progressiveness or partial wait-freedom)");
     ("PCL-E110", "conformance sweep failed: scenarios diverged from their \
                   declared expectations (timeouts attributed per cell)");
+    ("PCL-E111", "soak starved: consecutive segments completed without a \
+                  commit before the transaction target");
   ]
 
 let message r =
@@ -163,6 +167,11 @@ let message r =
         (match timeouts with
         | [] -> ""
         | ts -> Printf.sprintf " (%d by budget exhaustion)" (List.length ts))
+  | Soak_starved { tm; segments; txns; target } ->
+      Printf.sprintf
+        "soak of %s starved: %d segment(s) in a row committed nothing (%d \
+         of %d txns)"
+        tm segments txns target
 
 let strings ss = Obs_json.List (List.map (fun s -> Obs_json.String s) ss)
 
@@ -244,6 +253,13 @@ let payload : t -> (string * Obs_json.t) list = function
         ("scenarios", Obs_json.Int scenarios);
         ("cells", Obs_json.Int cells);
         ("quarantined", Obs_json.Int quarantined);
+      ]
+  | Soak_starved { tm; segments; txns; target } ->
+      [
+        ("tm", Obs_json.String tm);
+        ("segments", Obs_json.Int segments);
+        ("txns", Obs_json.Int txns);
+        ("target", Obs_json.Int target);
       ]
 
 let to_json r =

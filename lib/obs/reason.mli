@@ -65,6 +65,8 @@ type t =
       cells : int;
       quarantined : int;
     }  (** PCL-E110 *)
+  | Soak_starved of { tm : string; segments : int; txns : int; target : int }
+      (** PCL-E111 *)
 
 exception Exit_reason of t
 

@@ -40,11 +40,6 @@ let stopped_normally r =
   | Schedule.Completed -> true
   | Schedule.Budget_exhausted _ | Schedule.Crashed _ -> false
 
-let budget_exhausted_pid r =
-  match r.sim.Sim.report.Schedule.stop with
-  | Schedule.Budget_exhausted { Schedule.stalled_pid; _ } -> Some stalled_pid
-  | _ -> None
-
 (* Log indices of [pid]'s steps in step order, walked off the per-process
    ring. *)
 let steps_of_pid r pid =

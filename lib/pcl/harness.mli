@@ -24,7 +24,6 @@ val read_of : run -> Tid.t -> Item.t -> Value.t option
 (** The value a transaction read for an item, if it got that far. *)
 
 val stopped_normally : run -> bool
-val budget_exhausted_pid : run -> int option
 
 val nth_step_of_pid : run -> int -> int -> Access_log.entry option
 (** The n-th step (1-based) taken by a pid in the run. *)

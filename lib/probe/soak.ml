@@ -15,7 +15,10 @@
    budget is the soak's stall signal, attributed like the schedule
    layer attributes a [Budget_exhausted] stop — the wedged process and
    the last step it took (object and primitive included).  The caller
-   turns that into the PCL-E108 reason exit.
+   turns that into the PCL-E108 reason exit.  A segment that completes
+   without a commit (every transaction used up its retries) wedges no
+   process: the soak goes on with the next segment's seed, and only
+   [starve_limit] such segments in a row end it as starved (PCL-E111).
 
    Observability: the driver ticks observers on deterministic
    boundaries — [on_tick] every [tick_steps] executed steps (riding
@@ -69,7 +72,9 @@ type progress = {
   segments : int;  (** segments completed *)
 }
 
-type outcome = { progress : progress; stall : stall option }
+type outcome = { progress : progress; stall : stall option; starved : bool }
+
+let starve_limit = 16
 
 (* one segment = one small fresh workload world, stepped round-robin to
    completion (every process finished) or to the budget fence *)
@@ -177,9 +182,9 @@ let run ?(on_tick = fun (_ : progress) -> ())
       on_tick (progress ~steps:total)
     end
   in
-  let stall = ref None in
+  let stall = ref None and fruitless = ref 0 in
   let per_segment = max 1 cfg.segment_txns * cfg.n_procs in
-  while !stall = None && !commits < cfg.txns do
+  while !stall = None && !fruitless < starve_limit && !commits < cfg.txns do
     let remaining = cfg.txns - !commits in
     (* shrink the last segment so the target is hit, not overshot; the
        per-process count still covers the whole remainder when commits
@@ -197,10 +202,7 @@ let run ?(on_tick = fun (_ : progress) -> ())
     steps_before := !steps_before + seg_steps;
     incr segments;
     stall := seg_stall;
-    (* a segment that commits nothing and reports no budget stall would
-       loop forever: treat it as a wedge on its first process *)
-    if !stall = None && !commits = before then
-      stall := Some { pid = 1; step = None; obj = None; prim = None };
+    fruitless := if !commits = before then !fruitless + 1 else 0;
     on_segment (progress ~steps:!steps_before)
   done;
   let progress = progress ~steps:!steps_before in
@@ -210,4 +212,5 @@ let run ?(on_tick = fun (_ : progress) -> ())
   Tm_obs.Sink.add ~labels:tm_l "soak_steps_total" progress.steps;
   Tm_obs.Sink.add ~labels:tm_l "soak_segments_total" progress.segments;
   if !stall <> None then Tm_obs.Sink.incr ~labels:tm_l "soak_stalled_total";
-  { progress; stall = !stall }
+  let starved = !stall = None && !fruitless >= starve_limit in
+  { progress; stall = !stall; starved }

@@ -10,7 +10,9 @@
     A segment that exhausts its step budget is the soak's stall
     signal, attributed to the wedged process and the last step it took
     (object and primitive included) — the caller turns that into the
-    PCL-E108 reason exit.  Observers ride deterministic boundaries:
+    PCL-E108 reason exit.  A segment that completes without a commit
+    wedges no process: the soak goes on with the next segment, and
+    {!starve_limit} such segments in a row end it as [starved].  Observers ride deterministic boundaries:
     [on_tick] every [tick_steps] cumulative executed steps (via the
     {!Tm_runtime.Schedule} session tick hook), [on_segment] at every
     segment boundary.  Segment bodies are traced as "soak.segment" /
@@ -50,7 +52,15 @@ type progress = {
   segments : int;  (** segments completed *)
 }
 
-type outcome = { progress : progress; stall : stall option }
+type outcome = {
+  progress : progress;
+  stall : stall option;
+  starved : bool;
+      (** the run ended after {!starve_limit} consecutive segments that
+          completed without a commit, short of the target *)
+}
+
+val starve_limit : int
 
 val run :
   ?on_tick:(progress -> unit) ->

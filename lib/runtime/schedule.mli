@@ -61,11 +61,6 @@ val stop_to_string : stop -> string
     index of its last step ("budget-exhausted:p1@#42", or "@start" if it
     never stepped). *)
 
-val stop_json : stop -> Tm_obs.Obs_json.t
-(** The stop as a structured payload ([reason]/[pid]/[step]/[oid]/[prim])
-    — the machine-readable twin of {!stop_to_string}, consumed by
-    reason-coded exits and telemetry. *)
-
 val run : Scheduler.t -> ?budget:int -> atom list -> report
 (** Execute a schedule.  [budget] (default 100_000) bounds each
     [Until_done] segment.  Parked processes have their quanta skipped;
@@ -116,9 +111,6 @@ val set_tick : session -> (int -> unit) -> unit
     tick boundaries are too — live observers (watch snapshots, GC
     sampling) key on them to keep their {e structure} reproducible.
     Default: no-op. *)
-
-val session_steps : session -> int
-(** Steps executed across all atoms fed so far. *)
 
 val session_report : session -> report
 (** The report over everything fed so far — [stop = Completed] while the

@@ -161,11 +161,6 @@ let crash_state t pid =
   | Failed e -> if injected e then Injected_stop else Genuine e
   | _ -> No_crash
 
-let runnable t pid =
-  match (cell t pid).status with
-  | Not_started _ | Pending _ -> true
-  | Stepping | Finished | Failed _ -> false
-
 let pids t =
   let rec go i acc =
     if i < 0 then acc

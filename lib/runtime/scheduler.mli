@@ -53,7 +53,6 @@ val pending : t -> int -> Proc.request option
     or crashed ones.  Stable until [pid] itself is stepped — the conflict
     oracle a partial-order-reduced search keys on. *)
 
-val runnable : t -> int -> bool
 val pids : t -> int list
 
 val run_steps : t -> int -> int -> int

@@ -104,7 +104,6 @@ let verdicts t = t.verdicts
    signature: Sim attaches each world it runs whenever one is installed. *)
 
 let installed : t option ref = ref None
-let install o = installed := o
 let default () = !installed
 
 let with_recorder fl f =

@@ -79,7 +79,6 @@ val verdicts : t -> verdict list
     Mirrors [Sink.default]: installing a recorder makes [Sim] attach every
     execution it runs without threading it through signatures. *)
 
-val install : t option -> unit
 val default : unit -> t option
 
 val with_recorder : t -> (unit -> 'a) -> 'a

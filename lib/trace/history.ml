@@ -7,7 +7,8 @@
    pass over the events, on the first such query: each transaction's
    event-position chain (ascending), its begin-invocation position, and
    the first-seen order of transactions.  A history built by [append],
-   [restrict] or [truncate_at] carries its own index. *)
+   [restrict] or [truncate_at] carries its own index, and its own [key],
+   the [at]-free encoding the checkers' verdict store is keyed on. *)
 
 open Tm_base
 
@@ -19,7 +20,7 @@ type txn = {
 module Tids = Hashtbl.Make (Int)
 
 type index = { order : Tid.t list; by_tid : txn Tids.t }
-type t = { events : Event.t array; index : index Lazy.t }
+type t = { events : Event.t array; index : index Lazy.t; key : string Lazy.t }
 
 let build events =
   let chains = Tids.create 16 and order = ref [] in
@@ -43,7 +44,55 @@ let build events =
     chains;
   { order = List.rev !order; by_tid }
 
-let of_array events = { events; index = lazy (build events) }
+(* One tag byte per event (the invocation's op, or 5 + 4 * op + resp for
+   a response), then its tid, pid and operands: ints as zigzag varints,
+   strings and lists length-prefixed.  Every event's code is prefix-free,
+   so two event sequences share a key iff they are equal up to [at]. *)
+let encode events =
+  let b = Buffer.create (8 * Array.length events) in
+  let byte n = Buffer.add_char b (Char.unsafe_chr n) in
+  let rec varint z =
+    if z land lnot 0x7f = 0 then byte z
+    else (byte (z land 0x7f lor 0x80); varint (z lsr 7))
+  in
+  let int n = varint ((n lsl 1) lxor (n asr (Sys.int_size - 1))) in
+  let str s = int (String.length s); Buffer.add_string b s in
+  let rec value = function
+    | Value.VUnit -> byte 0
+    | Value.VBool x -> byte (if x then 2 else 1)
+    | Value.VInt n -> byte 3; int n
+    | Value.VStr s -> byte 4; str s
+    | Value.VPair (x, y) -> byte 5; value x; value y
+    | Value.VList l -> byte 6; int (List.length l); List.iter value l
+  in
+  let op_tag = function
+    | Event.Begin -> 0 | Read _ -> 1 | Write _ -> 2 | Try_commit -> 3
+    | Abort_call -> 4
+  in
+  let operands = function
+    | Event.Read x -> str x
+    | Event.Write (x, v) -> str x; value v
+    | Event.Begin | Try_commit | Abort_call -> ()
+  in
+  Array.iter
+    (function
+      | Event.Inv { tid; pid; op; at = _ } ->
+          byte (op_tag op); int tid; int pid; operands op
+      | Event.Resp { tid; pid; op; resp; at = _ } -> (
+          let r, v =
+            match resp with
+            | Event.R_ok -> (0, None)
+            | R_value v -> (1, Some v)
+            | R_committed -> (2, None)
+            | R_aborted -> (3, None)
+          in
+          byte (5 + (4 * op_tag op) + r); int tid; int pid; operands op;
+          Option.iter value v))
+    events;
+  Buffer.contents b
+
+let of_array events =
+  { events; index = lazy (build events); key = lazy (encode events) }
 let of_list events = of_array (Array.of_list events)
 let to_list t = Array.to_list t.events
 let events = to_list
@@ -51,6 +100,7 @@ let length t = Array.length t.events
 let get t i = t.events.(i)
 let is_empty t = Array.length t.events = 0
 let append t evs = of_array (Array.append t.events (Array.of_list evs))
+let key t = Lazy.force t.key
 let txn t tid = Tids.find_opt (Lazy.force t.index).by_tid tid
 let last x = x.chain.(Array.length x.chain - 1)
 

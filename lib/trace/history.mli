@@ -24,6 +24,12 @@ val get : t -> int -> Event.t
 val is_empty : t -> bool
 val append : t -> Event.t list -> t
 
+val key : t -> string
+(** An exact, compact encoding of the events without their [at] stamps,
+    computed once per history: two histories get equal keys iff they are
+    equal up to [at].  No consistency checker reads [at], so their
+    verdicts can be memoised on this key. *)
+
 (** {1 Projections} *)
 
 val per_txn : t -> Tid.t -> Event.t list

@@ -391,6 +391,145 @@ let hierarchy_tests =
 
 
 (* ------------------------------------------------------------------ *)
+(* the verdict store: [at]-free keys and cached = direct *)
+
+let restamp f hh =
+  History.of_list
+    (List.mapi
+       (fun i -> function
+         | Event.Inv r -> Event.Inv { r with at = f i }
+         | Event.Resp r -> Event.Resp { r with at = f i })
+       (History.to_list hh))
+
+let same_up_to_at h1 h2 =
+  let zero = restamp (fun _ -> 0) in
+  List.equal Event.equal (History.to_list (zero h1)) (History.to_list (zero h2))
+
+let rec gen_value st depth : Value.t =
+  match Random.State.int st (if depth = 0 then 4 else 6) with
+  | 0 -> Value.VUnit
+  | 1 -> Value.VBool (Random.State.bool st)
+  | 2 -> Value.VInt (Random.State.int st 7 - 3)
+  | 3 -> Value.VStr (String.make (Random.State.int st 3) 'v')
+  | 4 -> Value.VPair (gen_value st (depth - 1), gen_value st (depth - 1))
+  | _ ->
+      Value.VList (List.init (Random.State.int st 3) (fun _ -> gen_value st (depth - 1)))
+
+(* a near-duplicate: one event differs in exactly one of tid, pid, item,
+   value or response (the change may leave the history ill-formed) *)
+let mutate st hh =
+  let evs = Array.of_list (History.to_list hh) in
+  let i = Random.State.int st (Array.length evs) in
+  let bump n = n + 1 + Random.State.int st 3 in
+  let item x = x ^ "'" in
+  let op = function
+    | Event.Read x -> Event.Read (item x)
+    | Event.Write (x, v) ->
+        if Random.State.bool st then Event.Write (item x, v)
+        else Event.Write (x, gen_value st 2)
+    | o -> o
+  in
+  evs.(i) <-
+    (match (evs.(i), Random.State.int st 3) with
+    | Event.Inv r, 0 -> Event.Inv { r with tid = bump r.tid }
+    | Event.Inv r, 1 -> Event.Inv { r with pid = bump r.pid }
+    | Event.Inv r, _ -> Event.Inv { r with op = op r.op }
+    | Event.Resp r, 0 -> Event.Resp { r with tid = bump r.tid }
+    | Event.Resp r, 1 -> Event.Resp { r with pid = bump r.pid }
+    | Event.Resp r, _ ->
+        let resp =
+          match r.resp with
+          | Event.R_value _ when Random.State.bool st ->
+              Event.R_value (gen_value st 2)
+          | Event.R_committed -> Event.R_aborted
+          | Event.R_ok | Event.R_value _ | Event.R_aborted -> Event.R_committed
+        in
+        Event.Resp { r with resp });
+  History.of_list (Array.to_list evs)
+
+(* one stream of (budget, history) longer than the store: fresh random
+   histories, repeats re-stamped, and near-duplicates of earlier ones *)
+let gen_stream : (int option * History.t) list QCheck.Gen.t =
+ fun st ->
+  let seen = ref [||] in
+  List.init (Checkers.capacity + 140) (fun _ ->
+      let n = Array.length !seen in
+      let pick () = !seen.(Random.State.int st n) in
+      let hh =
+        match Random.State.int st 4 with
+        | _ when n = 0 -> gen_history st
+        | 0 -> gen_history st
+        | 1 -> restamp (fun _ -> Random.State.int st 50) (snd (pick ()))
+        | 2 -> mutate st (snd (pick ()))
+        | _ -> snd (pick ())
+      in
+      let budget =
+        match Random.State.int st 5 with
+        | 0 -> Some (1 + Random.State.int st 40)
+        | 1 when n > 0 -> fst (pick ())
+        | _ -> None
+      in
+      seen := Array.append !seen [| (budget, hh) |];
+      (budget, hh))
+
+let verdicts ?budget checkers hh =
+  List.map
+    (fun (c : Spec.checker) ->
+      match c.Spec.check ?budget hh with
+      | v -> Ok v
+      | exception e -> Error (Printexc.to_string e))
+    checkers
+
+let cache_tests =
+  let at_free hh =
+    let direct = verdicts Checkers.direct hh in
+    verdicts Checkers.direct (restamp (fun _ -> 0) hh) = direct
+    && verdicts Checkers.direct (restamp (fun i -> (7919 * i) mod 97) hh)
+       = direct
+  in
+  [
+    Alcotest.test_case "verdicts ignore at on the catalogue" `Quick (fun () ->
+        List.iter
+          (fun (a : Anomalies.anomaly) ->
+            check a.Anomalies.name true (at_free a.Anomalies.history))
+          Anomalies.catalogue);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100 ~name:"verdicts ignore at on random histories"
+         (QCheck.make gen_history) at_free);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2
+         ~name:"cached = direct over a stream longer than the store"
+         (QCheck.make gen_stream)
+         (fun stream ->
+           Checkers.clear ();
+           List.for_all
+             (fun (budget, hh) ->
+               let direct = verdicts ?budget Checkers.direct hh in
+               let names = List.map (fun (c : Spec.checker) -> c.Spec.name) in
+               verdicts ?budget Checkers.all hh = direct
+               &&
+               match Checkers.matrix ?budget hh with
+               | m ->
+                   List.map fst m = names Checkers.direct
+                   && List.map (fun (_, v) -> Ok v) m = direct
+               | exception _ -> List.exists Result.is_error direct)
+             stream));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"keys are equal iff histories are, up to at"
+         (QCheck.make (fun st ->
+              let h1 = gen_history st in
+              let h2 =
+                match Random.State.int st 3 with
+                | 0 -> gen_history st
+                | 1 -> restamp (fun _ -> Random.State.int st 9) h1
+                | _ -> mutate st h1
+              in
+              (h1, h2)))
+         (fun (h1, h2) ->
+           (History.key h1 = History.key h2) = same_up_to_at h1 h2));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* witnesses: every Sat verdict must come with a replayable witness *)
 
 let witness_tests =
@@ -837,4 +976,5 @@ let () =
       ("commit-pending", pending_tests);
       ("si-windows", si_window_tests);
       ("hierarchy", hierarchy_tests);
+      ("verdict-store", cache_tests);
     ]

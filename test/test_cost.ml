@@ -181,6 +181,7 @@ let test_reason_catalogue () =
           witness_step = Some 2;
           unexpected = 1;
         };
+      Reason.Soak_starved { tm = "x"; segments = 16; txns = 0; target = 1 };
       Reason.Conform_failure
         {
           failed = [ "uniform-none-immediate" ];

@@ -261,6 +261,24 @@ let test_soak_stall () =
       Alcotest.(check bool) "short of the target" true
         (o.Soak.progress.Soak.txns_done < soak_cfg.Soak.txns)
 
+(* a shrunk last segment whose transactions all use up their retries
+   commits nothing but wedges no process: the soak goes on to the next
+   segment instead of naming p1 as stalled *)
+let test_soak_fruitless_segment () =
+  let impl = Registry.find_exn "dstm" in
+  let cfg = { Soak.default with Soak.txns = 100; seed = 4846460 } in
+  let o = Soak.run impl cfg in
+  Alcotest.(check (option (of_pp Fmt.nop))) "no stall" None o.Soak.stall;
+  Alcotest.(check bool) "not starved" false o.Soak.starved;
+  Alcotest.(check bool) "reached the target" true
+    (o.Soak.progress.Soak.txns_done >= 100);
+  (* with no process to commit anything, the run ends starved after a
+     bounded number of segments *)
+  let o = Soak.run impl { cfg with Soak.n_procs = 0 } in
+  Alcotest.(check (option (of_pp Fmt.nop))) "still no stall" None o.Soak.stall;
+  Alcotest.(check bool) "starved" true o.Soak.starved;
+  Alcotest.(check int) "bounded" Soak.starve_limit o.Soak.progress.Soak.segments
+
 let () =
   Alcotest.run "prof"
     [
@@ -286,5 +304,7 @@ let () =
             test_soak_completes;
           Alcotest.test_case "stalls under a starved budget" `Quick
             test_soak_stall;
+          Alcotest.test_case "goes on past a segment without commits" `Quick
+            test_soak_fruitless_segment;
         ] );
     ]
