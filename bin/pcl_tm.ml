@@ -270,11 +270,7 @@ let check_file_cmd =
              +w1(x)=5 +c1 +a1; responses -ok1 -v1=0 -C1 -A1; '#' comments.")
   in
   let run file checker explain =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    match Wire.parse text with
+    match Wire.parse (In_channel.with_open_bin file In_channel.input_all) with
     | Error msg -> Fmt.failwith "parse error: %s" msg
     | Ok history -> (
         match History.well_formed history with
@@ -401,14 +397,8 @@ let run_explore ?dump_dir ?(lint = false) ?(por = true)
     if strongest = "none" then dump_violation r;
     if lint then begin
       let input =
-        {
-          Lint.log = Access_log.entries r.Sim.log;
-          history = r.Sim.history;
-          name_of = Memory.name_of r.Sim.mem;
-          data_sets = Some Explore_sweep.data_sets;
-          tm = Some (Registry.name impl);
-          meta = [];
-        }
+        Lint.input_of_run ~data_sets:Explore_sweep.data_sets
+          ~tm:(Registry.name impl) r
       in
       let res = Lints.run_passes Lint_passes.trace_passes input in
       if res.Lints.unexpected <> [] then incr lint_unexpected
@@ -742,14 +732,7 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
     | Spec.Sat | Spec.Out_of_budget -> ());
     if lint then begin
       let input =
-        {
-          Lint.log = Access_log.entries r.Sim.log;
-          history = r.Sim.history;
-          name_of = Memory.name_of r.Sim.mem;
-          data_sets = Some (Static_txn.data_sets specs);
-          tm = Some M.name;
-          meta = [];
-        }
+        Lint.input_of_run ~data_sets:(Static_txn.data_sets specs) ~tm:M.name r
       in
       let res = Lints.run_passes Lint_passes.trace_passes input in
       if res.Lints.unexpected <> [] then begin

@@ -45,7 +45,3 @@ val happens_before : t -> int -> int -> bool
 (** [happens_before t a b] — by dense positions; irreflexive. *)
 
 val concurrent_pos : t -> int -> int -> bool
-
-val is_sync : Primitive.t -> bool
-(** Does a primitive kind synchronize (RMW-class), as opposed to a plain
-    read/write data access? *)

@@ -93,6 +93,16 @@ let input_of_flight fl : input =
     meta = Flight.meta fl;
   }
 
+let input_of_run ?data_sets ~tm (r : Tm_runtime.Sim.result) : input =
+  {
+    log = Access_log.entries r.log;
+    history = r.history;
+    name_of = Memory.name_of r.mem;
+    data_sets;
+    tm = Some tm;
+    meta = [];
+  }
+
 (* Dynamic footprints: the per-transaction item sets actually touched in
    the history.  Successful reads and writes are in the history's
    read/write sets; *invoked* operations that were answered with A_T are

@@ -16,8 +16,6 @@ open Tm_dap
 
 type severity = Info | Warning | Error
 
-val severity_to_string : severity -> string
-
 type finding = {
   pass : string;  (** the reporting pass *)
   severity : severity;
@@ -70,6 +68,11 @@ type input = {
 val input_of_flight : Flight.t -> input
 (** Lint a recorded artifact: steps, history, names and the ["tm"] meta
     key are taken from the recorder. *)
+
+val input_of_run :
+  ?data_sets:Conflict.data_sets -> tm:string -> Tm_runtime.Sim.result -> input
+(** Lint a finished run of [tm] straight from its result, with no
+    metadata. *)
 
 val effective_data_sets : input -> Conflict.data_sets
 (** The static data sets if given, else per-transaction read/write item

@@ -128,10 +128,6 @@ let pid_at t i =
   check t i "pid_at";
   Intvec.unsafe_get t.pcs i lsr 1
 
-let changed_at t i =
-  check t i "changed_at";
-  Intvec.unsafe_get t.pcs i land 1 = 1
-
 let tid_int_at t i =
   check t i "tid_int_at";
   Intvec.unsafe_get t.tids i

@@ -65,7 +65,6 @@ val tid_int_at : t -> int -> int
 val oid_at : t -> int -> Oid.t
 val prim_at : t -> int -> Primitive.t
 val response_at : t -> int -> Value.t
-val changed_at : t -> int -> bool
 
 (** {2 Iteration without list materialization} *)
 

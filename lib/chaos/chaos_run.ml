@@ -279,11 +279,3 @@ let cell_json (c : cell) : Tm_obs.Obs_json.t =
       ("skipped", Tm_obs.Obs_json.Int c.skipped);
       ("degradation", Tm_obs.Obs_json.String c.degradation);
     ]
-
-let pp_cell ppf (c : cell) =
-  Fmt.pf ppf "%-14s %-9s %-10s %2d/%2d commits %2d gave-up %s%s%s" c.tm
-    c.fault c.cm c.commits c.expected c.gave_up c.degradation
-    (if c.skipped > 0 then Printf.sprintf "  skipped:%d" c.skipped else "")
-    (if c.closure_violations > 0 then
-       Printf.sprintf "  ** %d closure violation(s)" c.closure_violations
-     else "")

@@ -60,4 +60,3 @@ val finalize : cfg -> cell list -> cell list
 
 val matrix : cfg -> cell list
 val cell_json : cell -> Tm_obs.Obs_json.t
-val pp_cell : Format.formatter -> cell -> unit

@@ -40,8 +40,6 @@ val check :
     re-evaluate the Sat ones on each truncated prefix, and report the
     flips.  Out-of-budget verdicts on either side are skipped. *)
 
-val finding_of_flip : flip -> Lint.finding
-
 val pass : Lint.pass
 (** The ["crash-closure"] lint pass: cuts come from the artifact's
     ["crashes"] meta (injected crash steps) plus quartiles. *)

@@ -130,7 +130,7 @@ let drive inst ~pids ~rounds ~quantum ~budget setup =
   let c = Sim.start ~budget setup in
   let rec go = function
     | [] -> ()
-    | a :: rest -> if not (Sim.apply c a).Schedule.halted then go rest
+    | a :: rest -> if Sim.apply c a then go rest
   in
   go atoms;
   Sim.snapshot ~schedule:atoms c

@@ -45,20 +45,6 @@ val pp_block : Format.formatter -> block -> unit
 type state = Value.t Item.Map.t
 
 val lookup : initial:(Item.t -> Value.t) -> state -> Item.t -> Value.t
-val apply_writes : state -> (Item.t * Value.t) list -> state
-
-val check_greads :
-  initial:(Item.t -> Value.t) -> state -> (Item.t * Value.t) list -> bool
-
-val replay_whole :
-  initial:(Item.t -> Value.t) ->
-  check:bool ->
-  state ->
-  op list ->
-  (Item.t * Value.t) list option
-(** Replay H|T against a state: global reads check the committed state,
-    local reads the transaction's own overlay.  Returns the overlay (one
-    binding per item) on success, [None] on an illegal checked read. *)
 
 val eval :
   initial:(Item.t -> Value.t) ->

@@ -6,15 +6,7 @@
     omitted (exact for all histories exercised here, which use
     distinguishable values). *)
 
-open Tm_base
 open Tm_trace
-
-val causal_prec :
-  History.t ->
-  (Tid.t -> Blocks.txn_info) ->
-  Tid.t list ->
-  (Tid.t -> int option) ->
-  (int * int) list
 
 val check : ?budget:int -> History.t -> Spec.verdict
 val checker : Spec.checker

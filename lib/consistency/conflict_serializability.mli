@@ -11,7 +11,6 @@ open Tm_trace
 type op = { pos : int; tid : Tid.t; item : Item.t; is_write : bool }
 
 val ops_of : History.t -> Tid.Set.t -> op list
-val precedence_graph : History.t -> Tid.Set.t -> (Tid.t, Tid.Set.t) Hashtbl.t
 val acyclic : (Tid.t, Tid.Set.t) Hashtbl.t -> bool
 
 val check : ?budget:int -> History.t -> Spec.verdict

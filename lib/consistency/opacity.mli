@@ -12,6 +12,5 @@
 open Tm_trace
 
 val check : ?budget:int -> ?all_prefixes:bool -> History.t -> Spec.verdict
-val check_final : ?budget:int -> History.t -> Spec.verdict
 val prefixes : History.t -> History.t Seq.t
 val checker : Spec.checker

@@ -16,16 +16,6 @@ type t = {
   steps : int list;  (** global indices of the core's steps *)
 }
 
-val axiom_of : string -> string
-(** The condition a checker of that name decides, phrased as the violated
-    axiom; a generic phrase for unknown names. *)
-
-val unsat_core : ?budget:int -> Spec.checker -> History.t -> Tid.t list option
-(** [Some core] iff the checker rejects the history; [core] is then a
-    locally-minimal subset of its transactions that it still rejects
-    (greedy element-wise minimization — removing any one remaining
-    transaction makes the rest satisfiable). *)
-
 val of_unsat :
   ?budget:int ->
   ?log:Access_log.entry list ->

@@ -20,10 +20,5 @@ type plan = {
   w_point : Tid.t -> int option;
 }
 
-val si_points : (Tid.t -> Blocks.txn_info) -> Tid.t list -> plan
-(** Build the SI points for the given transactions: a [Greads] and a
-    [Wblock] point per transaction (empty blocks omitted), windows equal to
-    the active execution interval, read point before write point. *)
-
 val explain : ?budget:int -> History.t -> Witness.t option
 (** The witness placement (read and write points), when one exists. *)

@@ -16,8 +16,6 @@ type t = {
       (** weak adaptive consistency only *)
 }
 
-val pp_view : Format.formatter -> view -> unit
 val pp : Format.formatter -> t -> unit
 
-val view_legal : History.t -> focus:(Tid.t -> bool) -> view -> bool
 val valid : History.t -> t -> bool

@@ -14,8 +14,6 @@ type row = {
   cost : Cost.t;
 }
 
-val workload_names : string list
-
 val figure_rows : Tm_intf.impl -> row list
 (** Figure workloads only; status rows when the Section-4 construction
     does not exist for the TM. *)
@@ -38,8 +36,6 @@ val rows_for :
 (** [figure_rows] followed by [explore_row], each registered into the
     default sink under [("tm", _); ("workload", _)] labels. *)
 
-val row_fields : row -> (string * int) list
-val field_value : row -> string -> int
 val row_json : row -> Tm_obs.Obs_json.t
 
 (** {1 The expected-cost table} *)
@@ -55,9 +51,6 @@ val check : row list -> (string * string * string list) list
     ([rmrs <= steps], [rmw <= steps], wasted-work partition, nonempty
     "ok" rows pay at least one RMR).  Empty means the matrix is within
     expectations. *)
-
-val check_json :
-  (string * string * string list) list -> Tm_obs.Obs_json.t
 
 (** {1 Artifacts} *)
 

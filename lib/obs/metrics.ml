@@ -127,7 +127,6 @@ let observe (h : histogram) x =
 let incr_c t ?labels name = inc (counter t ?labels name)
 let add_c t ?labels name n = add (counter t ?labels name) n
 let observe_h t ?labels name x = observe (histogram t ?labels name) x
-let set_g t ?labels name v = set (gauge t ?labels name) v
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)

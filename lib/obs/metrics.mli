@@ -43,7 +43,6 @@ val observe : histogram -> float -> unit
 val incr_c : t -> ?labels:labels -> string -> unit
 val add_c : t -> ?labels:labels -> string -> int -> unit
 val observe_h : t -> ?labels:labels -> string -> float -> unit
-val set_g : t -> ?labels:labels -> string -> float -> unit
 
 (** {1 Snapshots} *)
 

@@ -32,9 +32,6 @@ val add_spans : t -> Span.span list -> unit
 val of_spans : Span.span list -> t
 (** [of_spans ss = (let t = create () in add_spans t ss; t)]. *)
 
-val add_into : dst:t -> t -> unit
-(** Fold [src] into [dst] pointwise. *)
-
 val merge : t -> t -> t
 (** A fresh profile with both arguments folded in.  Law: merging the
     profiles of two span lists equals profiling their concatenation

@@ -1,18 +1,12 @@
 (** Text rendering of the paper's Figures 1-6 from a claims report. *)
 
-open Tm_base
 open Tm_impl
-
-val pp_step : Format.formatter -> Access_log.entry -> unit
 
 val pp_fig12 :
   Format.formatter -> [ `Fig1 | `Fig2 ] -> Constructions.t -> unit
 
 val pp_schedule_line :
   Format.formatter -> string * Tm_runtime.Schedule.atom list -> unit
-
-val pp_txn_row :
-  Claims.side -> Format.formatter -> Static_txn.spec -> unit
 
 val pp_table : int list -> Claims.side -> Format.formatter -> unit -> unit
 val pp_check : Format.formatter -> Claims.value_check -> unit

@@ -27,11 +27,6 @@ val e5_6 : Item.t
 
 val t1 : Static_txn.spec
 val t2 : Static_txn.spec
-val t3 : Static_txn.spec
-val t4 : Static_txn.spec
-val t5 : Static_txn.spec
-val t6 : Static_txn.spec
-val t7 : Static_txn.spec
 
 val specs : Static_txn.spec list
 val items : Item.t list

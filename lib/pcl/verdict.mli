@@ -9,8 +9,6 @@ open Tm_impl
 
 type leg = Holds | Violated of string
 
-val pp_leg : Format.formatter -> leg -> unit
-
 type t = {
   impl_name : string;
   parallelism : leg;
@@ -18,11 +16,6 @@ type t = {
   liveness : leg;
   notes : string list;
 }
-
-val disjoint_pair_violations :
-  Tm_intf.impl -> Tm_dap.Strict_dap.violation list
-
-val chain_violations : Tm_intf.impl -> Tm_dap.Strict_dap.violation list
 
 val assess : ?budget:int -> Tm_intf.impl -> t
 val pp : Format.formatter -> t -> unit

@@ -30,8 +30,6 @@ let cls_to_string = function
   | Obstruction_free -> "obstruction-free"
   | Blocking -> "blocking"
 
-let pp_cls ppf c = Fmt.string ppf (cls_to_string c)
-
 type report = { cls : cls; evidence : string }
 
 let x_item = Item.v "x"

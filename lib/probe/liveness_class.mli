@@ -15,7 +15,6 @@ open Tm_impl
 type cls = Wait_free | Lock_free | Obstruction_free | Blocking
 
 val cls_to_string : cls -> string
-val pp_cls : Format.formatter -> cls -> unit
 
 type report = { cls : cls; evidence : string }
 
@@ -36,9 +35,5 @@ val find_livelock : ?horizon:int -> Tm_intf.impl -> int option
     (aborting an enemy commits nobody) from invalidation-by-commit designs
     (the candidate TM), where every available step eventually commits
     someone. *)
-
-val aborts_under_contention : Tm_intf.impl -> int
-(** Probe 3: aborts observed under {!Progress.round_robin} contention
-    with two retry-forever clients — any abort refutes wait-freedom. *)
 
 val classify : Tm_intf.impl -> report

@@ -21,9 +21,6 @@ val enemy : Static_txn.spec
 val conflicting_probe : Static_txn.spec
 (** T11 (pid 11): reads then writes x — conflicts with {!enemy}. *)
 
-val disjoint_probe : Static_txn.spec
-(** T13 (pid 13): reads then writes z — disjoint from {!enemy}. *)
-
 val scan :
   ?budget:int ->
   Tm_intf.impl ->

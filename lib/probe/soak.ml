@@ -76,8 +76,8 @@ type outcome = { progress : progress; stall : stall option; starved : bool }
 
 let starve_limit = 16
 
-(* one segment = one small fresh workload world, stepped round-robin to
-   completion (every process finished) or to the budget fence *)
+(* one segment = one small fresh workload world ({!Workload.drive}),
+   stepped round-robin to completion or to the budget fence *)
 let run_segment (impl : Tm_intf.impl) cfg ~segment ~txns_per_proc ~commits
     ~aborts ~tick =
   let wl =
@@ -92,47 +92,19 @@ let run_segment (impl : Tm_intf.impl) cfg ~segment ~txns_per_proc ~commits
       max_retries = cfg.max_retries;
     }
   in
-  let pids = List.init cfg.n_procs (fun p -> p + 1) in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:(Workload.items_for wl)
-    in
-    List.map
-      (fun pid -> (pid, Workload.client wl handle ~pid ~commits ~aborts))
-      pids
+  let c, completed =
+    Tm_obs.Sink.span "soak.drive" (fun () ->
+        Workload.drive ~on_tick:tick ~budget:cfg.budget impl wl ~commits
+          ~aborts)
   in
-  let c = Sim.start ~budget:cfg.budget setup in
-  Sim.on_tick c tick;
-  let check_real_crash pid =
-    match Sim.crashed c pid with
-    | Some e when not (Scheduler.injected e) -> raise e
-    | Some _ | None -> ()
-  in
-  (* closure-free round loop: one pass both steps the unfinished
-     processes and detects completion, so a round allocates nothing *)
-  let pid_arr = Array.of_list pids in
-  let rec round () =
-    if Sim.steps_taken c > cfg.budget then false
-    else begin
-      let all_done = ref true in
-      for i = 0 to Array.length pid_arr - 1 do
-        let pid = Array.unsafe_get pid_arr i in
-        if not (Sim.finished c pid) then begin
-          all_done := false;
-          ignore (Sim.step c pid);
-          check_real_crash pid
-        end
-      done;
-      if !all_done then true else round ()
-    end
-  in
-  let completed = Tm_obs.Sink.span "soak.drive" round in
   let steps = Sim.steps_taken c in
   let stall =
     if completed then None
     else begin
       let wedged =
-        List.find_opt (fun pid -> not (Sim.finished c pid)) pids
+        List.find_opt
+          (fun pid -> not (Sim.finished c pid))
+          (List.init cfg.n_procs (fun p -> p + 1))
       in
       let pid = Option.value ~default:1 wedged in
       let r = Sim.snapshot ~flight:false c in
@@ -186,9 +158,11 @@ let run ?(on_tick = fun (_ : progress) -> ())
   let per_segment = max 1 cfg.segment_txns * cfg.n_procs in
   while !stall = None && !fruitless < starve_limit && !commits < cfg.txns do
     let remaining = cfg.txns - !commits in
-    (* shrink the last segment so the target is hit, not overshot; the
-       per-process count still covers the whole remainder when commits
-       lag attempts (retries exhausted count as aborts, not commits) *)
+    (* shrink the last segment to ceil(remaining / n_procs) transactions
+       on every process: that covers the whole remainder, so the target
+       is overshot by at most n_procs - 1; when commits lag attempts
+       (retries exhausted count as aborts, not commits) another segment
+       follows *)
     let txns_per_proc =
       if remaining >= per_segment then max 1 cfg.segment_txns
       else max 1 ((remaining + cfg.n_procs - 1) / cfg.n_procs)

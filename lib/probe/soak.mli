@@ -21,7 +21,11 @@
 open Tm_impl
 
 type config = {
-  txns : int;  (** target committed transactions (the soak's N) *)
+  txns : int;
+      (** target committed transactions (the soak's N).  The last
+          segment runs ceil(remaining / n_procs) transactions on every
+          process, so a run that neither stalls nor starves ends with
+          between [txns] and [txns + n_procs - 1] commits. *)
   n_procs : int;
   conflict_pct : int;  (** 0..100, as in {!Workload.config} *)
   items_per_txn : int;

@@ -113,54 +113,48 @@ let client cfg (handle : Txn_api.handle) ~pid ~commits ~aborts () =
     attempt cfg handle ~pid ~k ~commits ~aborts items 0
   done
 
-(** Run the workload under a fair round-robin schedule (one step per
-    process per turn) and collect the statistics.  Driven through the
-    incremental engine: one live {!Sim.cursor} advanced a step at a time
-    (the cursor wires in the flight recorder, exactly as a scripted
-    replay does). *)
+(* One live {!Sim.cursor} (it wires in the flight recorder, exactly as a
+   scripted replay does).  A genuine exception escaping a client is a TM
+   bug: it is re-raised rather than folded into a budget-exhausted stall
+   (injected crash-stops just leave the process unfinished).  The round
+   loop is closure-free: one pass both steps the unfinished processes and
+   detects completion, so a round allocates nothing. *)
+let drive ?on_tick ~budget (impl : Tm_intf.impl) cfg ~commits ~aborts =
+  let setup mem recorder =
+    let handle =
+      Txn_api.instantiate impl mem recorder ~items:(items_for cfg)
+    in
+    List.init cfg.n_procs (fun p ->
+        (p + 1, client cfg handle ~pid:(p + 1) ~commits ~aborts))
+  in
+  let c = Sim.start ~budget setup in
+  Option.iter (Sim.on_tick c) on_tick;
+  let rec round () =
+    if Sim.steps_taken c > budget then false
+    else begin
+      let all_done = ref true in
+      for pid = 1 to cfg.n_procs do
+        if not (Sim.finished c pid) then begin
+          all_done := false;
+          ignore (Sim.step c pid);
+          match Sim.crashed c pid with
+          | Some e when not (Scheduler.injected e) -> raise e
+          | Some _ | None -> ()
+        end
+      done;
+      !all_done || round ()
+    end
+  in
+  (c, round ())
+
+(** Run the workload under a fair round-robin schedule and collect the
+    statistics. *)
 let run (impl : Tm_intf.impl) (cfg : config) : stats =
   let (module M : Tm_intf.S) = impl in
   let tm_l = [ ("tm", M.name) ] in
   Tm_obs.Sink.span ~labels:tm_l "workload.run" (fun () ->
   let commits = ref 0 and aborts = ref 0 in
-  let pids = List.init cfg.n_procs (fun p -> p + 1) in
-  let setup mem recorder =
-    let handle =
-      Txn_api.instantiate impl mem recorder ~items:(items_for cfg)
-    in
-    List.map
-      (fun pid -> (pid, client cfg handle ~pid ~commits ~aborts))
-      pids
-  in
-  let budget = 200_000 in
-  let c = Sim.start ~budget setup in
-  (* a genuine exception escaping a client is a TM bug: re-raise rather
-     than silently folding it into a budget-exhausted stall (injected
-     crash-stops, by contrast, just leave the process unfinished) *)
-  let check_real_crash pid =
-    match Sim.crashed c pid with
-    | Some e when not (Scheduler.injected e) -> raise e
-    | Some _ | None -> ()
-  in
-  (* closure-free round loop: one pass both steps the unfinished
-     processes and detects completion, so a round allocates nothing *)
-  let pid_arr = Array.of_list pids in
-  let rec round steps =
-    if steps > budget then false
-    else begin
-      let all_done = ref true in
-      for i = 0 to Array.length pid_arr - 1 do
-        let pid = Array.unsafe_get pid_arr i in
-        if not (Sim.finished c pid) then begin
-          all_done := false;
-          ignore (Sim.step c pid);
-          check_real_crash pid
-        end
-      done;
-      if !all_done then true else round (steps + cfg.n_procs)
-    end
-  in
-  let completed = round 0 in
+  let c, completed = drive ~budget:200_000 impl cfg ~commits ~aborts in
   (* snapshot without the scripted-schedule flight context — the scaling
      workload writes its own run metadata below *)
   let r = Sim.snapshot ~flight:false c in

@@ -42,4 +42,21 @@ val client :
     bumping [commits]/[aborts] as it goes — exposed so other drivers
     (the soak observatory) reuse the exact workload semantics. *)
 
+val drive :
+  ?on_tick:(int -> unit) ->
+  budget:int ->
+  Tm_intf.impl ->
+  config ->
+  commits:int ref ->
+  aborts:int ref ->
+  Tm_runtime.Sim.cursor * bool
+(** The one workload world (a {!client} per pid over {!items_for}) driven
+    round-robin, one step per unfinished process per turn, until every
+    process finishes or more than [budget] steps have run; returns the
+    cursor and whether every process finished.  [on_tick] is installed
+    as the cursor's progress hook ({!Tm_runtime.Sim.on_tick}).  A genuine
+    exception escaping a client is re-raised. *)
+
 val run : Tm_intf.impl -> config -> stats
+(** {!drive} under a 200k-step budget, then the run's statistics; an
+    installed flight recorder receives the run context. *)

@@ -30,9 +30,6 @@ let cas ?tid oid ~expected ~desired =
 let fetch_add ?tid oid n =
   Value.to_int_exn (access ?tid oid (Primitive.Fetch_add n))
 
-let try_lock ?tid ~pid oid =
-  Value.to_bool_exn (access ?tid oid (Primitive.Try_lock pid))
-
 let unlock ?tid ~pid oid = ignore (access ?tid oid (Primitive.Unlock pid))
 
 (* [*_t] variants take the transaction attribution as an already-built

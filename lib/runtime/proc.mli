@@ -24,7 +24,6 @@ val read : ?tid:Tid.t -> Oid.t -> Value.t
 val write : ?tid:Tid.t -> Oid.t -> Value.t -> unit
 val cas : ?tid:Tid.t -> Oid.t -> expected:Value.t -> desired:Value.t -> bool
 val fetch_add : ?tid:Tid.t -> Oid.t -> int -> int
-val try_lock : ?tid:Tid.t -> pid:int -> Oid.t -> bool
 val unlock : ?tid:Tid.t -> pid:int -> Oid.t -> unit
 
 (** {1 Pre-boxed attribution}

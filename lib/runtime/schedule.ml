@@ -96,11 +96,6 @@ let of_string s : (atom list, string) result =
   in
   go [] (String.split_on_char ',' s)
 
-let stop_reason = function
-  | Completed -> "completed"
-  | Budget_exhausted _ -> "budget-exhausted"
-  | Crashed _ -> "crashed"
-
 (** The stop rendered for run metadata and reports: a stall names the
     process {e and} the last step it took, so a chaos sweep can attribute
     the wedge ("budget-exhausted:p1@#42"), not just count it. *)
@@ -149,11 +144,6 @@ let session ?(budget = 100_000) sched =
 
 let set_tick s f = s.on_tick <- f
 
-type feed_outcome = {
-  steps : int;  (** steps the atom actually took *)
-  halted : bool;  (** the session is (now) stopped *)
-}
-
 let session_stopped s = s.stopped <> None
 
 (* Count an executed atom: record its step tally, then fire the progress
@@ -172,15 +162,14 @@ let stall_of s pid =
     last = Access_log.last_by_pid (Memory.log (Scheduler.memory s.sched)) pid;
   }
 
-(** Execute one atom; returns the steps it actually took.  The
-    allocation-free core of {!feed} (top-level helpers, int result):
-    whether the atom halted the session is observable via
-    {!session_stopped}.  A no-op once the session has stopped (the atom
-    is neither executed nor counted, exactly as [run] abandons the tail
-    of its atom list).  Injected crash-stops do {e not} stop the session
-    — the survivors keep running, which is the whole point of a chaos
-    run; only a genuine escaping exception or an exhausted [Until_done]
-    budget does. *)
+(** Execute one atom; returns the steps it actually took (top-level
+    helpers, int result: a step allocates nothing).  Whether the atom
+    halted the session is observable via {!session_stopped}.  A no-op
+    once the session has stopped: the atom is neither executed nor
+    counted, so a halted schedule abandons its tail.  Injected
+    crash-stops do {e not} stop the session — the survivors keep
+    running, which is the whole point of a chaos run; only a genuine
+    escaping exception or an exhausted [Until_done] budget does. *)
 let feed_steps (s : session) (atom : atom) : int =
   match s.stopped with
   | Some _ -> 0
@@ -248,11 +237,6 @@ let feed_steps (s : session) (atom : atom) : int =
                 s.stopped <- Some (Crashed (pid, e));
                 0))
 
-(** {!feed_steps} with the legacy boxed outcome. *)
-let feed (s : session) (atom : atom) : feed_outcome =
-  let steps = feed_steps s atom in
-  { steps; halted = s.stopped <> None }
-
 (** The report of everything fed so far ([Completed] while still
     running).  Cheap and side-effect free: callable mid-session. *)
 let session_report (s : session) : report =
@@ -261,20 +245,3 @@ let session_report (s : session) : report =
     steps_per_atom = Tm_base.Intvec.to_list s.steps_per_atom_vec;
     crashes = List.rev s.crashes_rev;
   }
-
-(** Execute a schedule on a scheduler.  [budget] bounds each [Until_done]
-    segment (a segment that exhausts it reports [Budget_exhausted] with the
-    stalled process and its last step, and stops the schedule — the
-    liveness-failure signal).  Injected crash-stops do {e not} stop the
-    schedule: the surviving processes keep running; only a genuine
-    exception escaping a process stops it. *)
-let run (sched : Scheduler.t) ?(budget = 100_000) (atoms : atom list) :
-    report =
-  let s = session ~budget sched in
-  List.iter (fun a -> ignore (feed s a)) atoms;
-  let report = session_report s in
-  Tm_obs.Sink.add "schedule_atoms_total" (List.length atoms);
-  Tm_obs.Sink.incr
-    ~labels:[ ("reason", stop_reason report.stop) ]
-    "schedule_stop_total";
-  report

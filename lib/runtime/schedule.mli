@@ -40,7 +40,6 @@ type report = {
       (** injected crash-stops, as (pid, global step at injection) *)
 }
 
-val pp_atom : Format.formatter -> atom -> unit
 val pp : Format.formatter -> atom list -> unit
 
 val to_string : atom list -> string
@@ -53,60 +52,42 @@ val of_string : string -> (atom list, string) result
     token), so a dumped schedule — faults included — replays
     bit-identically. *)
 
-val stop_reason : stop -> string
-(** Coarse label ("completed" / "budget-exhausted" / "crashed"). *)
-
 val stop_to_string : stop -> string
 (** The stop rendered for run metadata: stalls carry the process and the
     index of its last step ("budget-exhausted:p1@#42", or "@start" if it
     never stepped). *)
-
-val run : Scheduler.t -> ?budget:int -> atom list -> report
-(** Execute a schedule.  [budget] (default 100_000) bounds each
-    [Until_done] segment.  Parked processes have their quanta skipped;
-    injected crash-stops are recorded in [crashes] and the schedule keeps
-    running the survivors; a genuine exception stops it with
-    {!stop.Crashed}. *)
 
 (** {1 Resumable sessions}
 
     A session is a schedule interpretation in progress: atoms are fed one
     at a time and the park table / crash list / per-atom step counts
     accumulate, so taking one more step never re-executes the prefix.
-    {!run} is [session] + {!feed} over a complete atom list; the
-    incremental engine ([Sim]'s cursors, and through it the
-    partial-order-reduced explorer) feeds atoms as the search decides
-    them. *)
+    The incremental engine ([Sim]'s cursors, and through it the
+    partial-order-reduced explorer and whole-schedule replay) feeds atoms
+    as the search or the script decides them. *)
 
 type session
 
 val session : ?budget:int -> Scheduler.t -> session
 (** A fresh session over a scheduler whose processes are spawned but not
     yet stepped.  [budget] (default 100_000) bounds each [Until_done]
-    segment fed later. *)
-
-type feed_outcome = {
-  steps : int;  (** steps the atom actually took *)
-  halted : bool;  (** the session is (now) stopped *)
-}
-
-val feed : session -> atom -> feed_outcome
-(** Execute one atom, exactly as {!run} would in sequence.  A no-op
-    (reporting [halted = true], zero steps, nothing counted) once the
-    session has stopped — matching how {!run} abandons the tail of its
-    atom list. *)
+    segment fed later.  Parked processes have their quanta skipped;
+    injected crash-stops are recorded in [crashes] and the session keeps
+    running the survivors; a genuine exception stops it with
+    {!stop.Crashed}. *)
 
 val feed_steps : session -> atom -> int
-(** The allocation-free core of {!feed}: same execution, but only the
-    step tally is returned — whether the atom halted the session is
-    observable via {!session_stopped}.  The per-step engines ([Sim.step],
-    replay loops) use this form. *)
+(** Execute one atom and return the steps it actually took; whether the
+    atom halted the session is observable via {!session_stopped}.  A
+    no-op (zero steps, nothing counted) once the session has stopped, so
+    a halted schedule abandons its tail.  Allocation-free: the per-step
+    engines ([Sim.step], replay loops) call it once per atom. *)
 
 val session_stopped : session -> bool
 
 val set_tick : session -> (int -> unit) -> unit
 (** Install the session's progress hook, called with the cumulative
-    executed step count ({!session_steps}) after every atom that
+    executed step count after every atom that
     executed at least one step.  Step counts are deterministic, so the
     tick boundaries are too — live observers (watch snapshots, GC
     sampling) key on them to keep their {e structure} reproducible.

@@ -149,18 +149,18 @@ let pending (c : cursor) pid : Proc.request option =
 
 let steps_taken (c : cursor) : int = Memory.step_count (materialize c).mem
 
-(** Feed one schedule atom to the live world.  Executed atoms (and only
-    those — a post-stop no-op is not part of the execution) extend the
-    cursor's path, so a later fork reproduces exactly this state. *)
-let apply (c : cursor) (atom : Schedule.atom) : Schedule.feed_outcome =
+(** Feed one schedule atom to the live world; true iff the session
+    still runs afterwards.  Executed atoms (and only those — a post-stop
+    no-op is not part of the execution) extend the cursor's path, so a
+    later fork reproduces exactly this state. *)
+let apply (c : cursor) (atom : Schedule.atom) : bool =
   let l = materialize c in
-  if Schedule.session_stopped l.session then
-    { Schedule.steps = 0; halted = true }
-  else begin
-    let f = Schedule.feed l.session atom in
-    Intvec.push c.path (encode_atom atom);
-    f
-  end
+  (not (Schedule.session_stopped l.session))
+  && begin
+       ignore (Schedule.feed_steps l.session atom);
+       Intvec.push c.path (encode_atom atom);
+       not (Schedule.session_stopped l.session)
+     end
 
 (* [Steps (pid, 1)] atoms are immutable and identical across every cursor,
    so the single-step engine below shares one per small pid instead of

@@ -57,10 +57,10 @@ val step : cursor -> int -> bool
     execution has halted (a genuinely-crashed execution schedules no
     further steps, exactly as a replay of its path would refuse to). *)
 
-val apply : cursor -> Schedule.atom -> Schedule.feed_outcome
-(** Feed one schedule atom (quanta, solo segments, fault atoms).
-    Executed atoms extend the path a fork replays; post-halt no-ops do
-    not. *)
+val apply : cursor -> Schedule.atom -> bool
+(** Feed one schedule atom (quanta, solo segments, fault atoms); true
+    iff the session still runs afterwards.  Executed atoms extend the
+    path a fork replays; post-halt no-ops do not. *)
 
 val finished : cursor -> int -> bool
 val crashed : cursor -> int -> exn option

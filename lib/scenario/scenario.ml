@@ -247,16 +247,9 @@ let check_unique (ss : t list) =
       | None -> Hashtbl.replace seen s.id "the catalogue")
     ss
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  text
-
 let load_file file =
   try
-    match J.parse (read_file file) with
+    match J.parse (In_channel.with_open_bin file In_channel.input_all) with
     | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
     | Ok j ->
         let ss = parse_catalogue ~file j in

@@ -19,7 +19,6 @@ type family =
           a dynamic data set no static declaration can capture *)
 
 val family_to_string : family -> string
-val family_of_string : string -> family option
 val families : family list
 
 type expect = {

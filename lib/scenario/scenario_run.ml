@@ -6,7 +6,6 @@
    failure and the sweep moves on.  No wall-clock is read anywhere, so
    rows are byte-deterministic under a fixed seed. *)
 
-open Tm_base
 open Tm_trace
 open Tm_runtime
 open Tm_consistency
@@ -125,17 +124,10 @@ let run_cell (s : Scenario.t) ~(inject : inject) ~seed
                 let lint_failure =
                   if not s.Scenario.expect.Scenario.lint then None
                   else
-                    let input =
-                      {
-                        Lint.log = Access_log.entries r.Sim.log;
-                        history = r.Sim.history;
-                        name_of = Memory.name_of r.Sim.mem;
-                        data_sets = None;
-                        tm = Some M.name;
-                        meta = [];
-                      }
+                    let res =
+                      Lints.run_passes Passes.trace_passes
+                        (Lint.input_of_run ~tm:M.name r)
                     in
-                    let res = Lints.run_passes Passes.trace_passes input in
                     match res.Lints.unexpected with
                     | [] -> None
                     | f :: _ ->

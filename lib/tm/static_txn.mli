@@ -25,7 +25,6 @@ type outcome = {
   mutable status : status;
 }
 
-val new_outcome : unit -> outcome
 val read_value : outcome -> Item.t -> Value.t option
 
 val program :

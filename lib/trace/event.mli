@@ -11,8 +11,6 @@ type op =
   | Try_commit
   | Abort_call  (** the explicit abort_T routine *)
 
-val pp_op : Format.formatter -> op -> unit
-val show_op : op -> string
 val equal_op : op -> op -> bool
 
 type resp =
@@ -20,10 +18,6 @@ type resp =
   | R_value of Value.t  (** response to a successful read *)
   | R_committed  (** C_T *)
   | R_aborted  (** A_T *)
-
-val pp_resp : Format.formatter -> resp -> unit
-val show_resp : resp -> string
-val equal_resp : resp -> resp -> bool
 
 type t =
   | Inv of { tid : Tid.t; pid : int; op : op; at : int }

@@ -431,13 +431,9 @@ let parse (text : string) : (t, string) result =
   with Bad msg -> Error msg
 
 let load path : (t, string) result =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic ->
-      let n = in_channel_length ic in
-      let text = really_input_string ic n in
-      close_in ic;
-      parse text
+  | text -> parse text
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export (Perfetto-loadable).  Timestamps are logical

@@ -98,14 +98,9 @@ val parse : string -> (t, string) result
 val load : string -> (t, string) result
 (** [load path] reads and parses a dumped artifact. *)
 
-val to_chrome : t -> Tm_obs.Obs_json.t
-(** Chrome trace-event JSON: transactions as complete events, steps as
-    instants, logical step indices as timestamps. *)
-
 val write_chrome : t -> string -> unit
 
 (** {1 Codec internals shared with other exporters} *)
 
 val value_json : Value.t -> Tm_obs.Obs_json.t
 val prim_json : Primitive.t -> Tm_obs.Obs_json.t
-val event_json : Event.t -> Tm_obs.Obs_json.t

@@ -48,7 +48,6 @@ val pid_of_txn : t -> Tid.t -> int option
 
 type status = Committed | Aborted | Commit_pending | Live
 
-val pp_status : Format.formatter -> status -> unit
 val show_status : status -> string
 val equal_status : status -> status -> bool
 

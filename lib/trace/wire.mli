@@ -7,8 +7,6 @@
     invocation, which is unambiguous for well-formed histories.  Values
     are integers. *)
 
-val print_event : Event.t -> string
-
 val print : History.t -> string
 (** @raise Invalid_argument on non-integer values. *)
 

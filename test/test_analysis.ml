@@ -343,14 +343,8 @@ let progressiveness_verdicts ~por impl =
   let acc = ref [] in
   let on_execution ~strongest:_ (r : Sim.result) =
     let input =
-      {
-        Lint.log = Access_log.entries r.Sim.log;
-        history = r.Sim.history;
-        name_of = Memory.name_of r.Sim.mem;
-        data_sets = Some Explore_sweep.data_sets;
-        tm = Some (Registry.name impl);
-        meta = [];
-      }
+      Lint.input_of_run ~data_sets:Explore_sweep.data_sets
+        ~tm:(Registry.name impl) r
     in
     acc :=
       List.map

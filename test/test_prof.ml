@@ -279,6 +279,70 @@ let test_soak_fruitless_segment () =
   Alcotest.(check bool) "starved" true o.Soak.starved;
   Alcotest.(check int) "bounded" Soak.starve_limit o.Soak.progress.Soak.segments
 
+(* the shrunk last segment runs ceil(remaining / n_procs) transactions
+   on every process: a run that neither stalls nor starves reaches the
+   target and overshoots it by at most n_procs - 1 *)
+let test_soak_overshoot_bound () =
+  let judged = ref 0 in
+  List.iter
+    (fun impl ->
+      List.iter
+        (fun (n_procs, segment_txns, targets) ->
+          List.iter
+            (fun txns ->
+              let cfg =
+                { soak_cfg with Soak.txns; n_procs; segment_txns; seed = txns }
+              in
+              let o = Soak.run impl cfg in
+              if o.Soak.stall = None && not o.Soak.starved then begin
+                incr judged;
+                let done_ = o.Soak.progress.Soak.txns_done in
+                if done_ < txns || done_ > txns + n_procs - 1 then
+                  Alcotest.failf "%s: %d procs, target %d: %d committed"
+                    (Registry.name impl) n_procs txns done_
+              end)
+            targets)
+        [ (3, 4, [ 1; 6; 7; 13; 29; 30 ]); (4, 5, [ 2; 8; 23; 41 ]) ])
+    Registry.all;
+  Alcotest.(check bool) "runs judged" true (!judged > 0)
+
+exception First_segment of Soak.progress
+
+(* law: a soak segment is a workload run — the progress [Soak.run] hands
+   its first [on_segment] equals the steps, commits and aborts of
+   [Workload.run] on segment 0's workload config *)
+let test_soak_segment_is_workload_run () =
+  let cfg = { Soak.default with Soak.txns = 1_000; seed = 7 } in
+  List.iter
+    (fun impl ->
+      let first =
+        try
+          ignore
+            (Soak.run
+               ~on_segment:(fun p -> raise (First_segment p))
+               impl cfg);
+          Alcotest.fail "no segment ran"
+        with First_segment p -> p
+      in
+      let s =
+        Workload.run impl
+          {
+            Workload.n_procs = cfg.Soak.n_procs;
+            txns_per_proc = cfg.segment_txns;
+            conflict_pct = cfg.conflict_pct;
+            items_per_txn = cfg.items_per_txn;
+            shared_items = cfg.shared_items;
+            seed = cfg.seed;
+            max_retries = cfg.max_retries;
+          }
+      in
+      let name = Registry.name impl in
+      Alcotest.(check int) (name ^ " steps") s.Workload.steps first.Soak.steps;
+      Alcotest.(check int)
+        (name ^ " commits") s.Workload.commits first.Soak.txns_done;
+      Alcotest.(check int) (name ^ " aborts") s.Workload.aborts first.Soak.aborts)
+    Registry.all
+
 let () =
   Alcotest.run "prof"
     [
@@ -306,5 +370,9 @@ let () =
             test_soak_stall;
           Alcotest.test_case "goes on past a segment without commits" `Quick
             test_soak_fruitless_segment;
+          Alcotest.test_case "overshoots by at most n_procs - 1" `Quick
+            test_soak_overshoot_bound;
+          Alcotest.test_case "segment 0 is a workload run" `Quick
+            test_soak_segment_is_workload_run;
         ] );
     ]
