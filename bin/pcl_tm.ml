@@ -219,9 +219,10 @@ let explain_arg =
     value & flag
     & info [ "explain" ]
         ~doc:
-          "When a checker answers sat, print the witness serialization it \
-           found (supported for serializability, snapshot-isolation, \
-           processor-consistency, pram and weak-adaptive).")
+          "When a checker answers sat, print the witness serialization its \
+           search found: com(alpha) and each view's order of serialization \
+           points (and, for weak-adaptive, the partition and group typing). \
+           Every checker but conflict-serializability has one.")
 
 let run_checkers history checker explain =
   let checkers =
@@ -685,7 +686,11 @@ let run_fuzz ?dump_dir ?(lint = false) ?(on_progress = fun () -> ()) impl
             vs
     end;
     if
-      List.mem M.name [ "tl-lock"; "pram-local"; "candidate"; "lp-progressive" ]
+      List.mem M.name
+        [
+          "tl-lock"; "pram-local"; "candidate"; "llsc-candidate";
+          "lp-progressive";
+        ]
     then begin
       match
         Strict_dap.violations
@@ -1951,59 +1956,37 @@ let conform_cmd =
                       Scenario_run.Inject_stall
                     else Scenario_run.No_inject
                   in
-                  let cell_lines = ref [] in
                   let row = Scenario_run.run_row ~tick ~inject ~seed s in
-                  if cells_flag then begin
-                    (* re-run cells are not re-executed here: cell rows ride
-                       the same sweep, rendered from the row's failures plus
-                       the passing cell list *)
-                    let failures = row.Scenario_run.failures in
-                    List.iter
-                      (fun (impl, policy) ->
-                        let tm = Registry.name impl in
-                        let cm = policy.Cm.name in
-                        let c =
-                          match
-                            List.find_opt
-                              (fun (f : Scenario_run.cell) ->
-                                f.Scenario_run.tm = tm
-                                && f.Scenario_run.cm = cm)
-                              failures
-                          with
-                          | Some f -> f
-                          | None ->
-                              {
-                                Scenario_run.tm;
-                                cm;
-                                reason = None;
-                                detail = "";
-                              }
-                        in
-                        cell_lines :=
-                          (Obs_json.to_string (Scenario_run.cell_json ~id c)
+                  let results = row.Scenario_run.results in
+                  let failures = Scenario_run.failures row in
+                  let status = Scenario_run.status row in
+                  let cell_lines =
+                    if cells_flag then
+                      List.map
+                        (fun c ->
+                          Obs_json.to_string (Scenario_run.cell_json ~id c)
                           ^ "\n")
-                          :: !cell_lines)
-                      (Scenario_run.cells_of s)
-                  end;
+                        results
+                    else []
+                  in
                   let line = Obs_json.to_string (Scenario_run.row_json row) in
                   output_string journal (line ^ "\n");
                   flush journal;
-                  lines := (line ^ "\n") :: List.rev_append !cell_lines !lines;
-                  if row.Scenario_run.status = "fail" then begin
+                  lines := (line ^ "\n") :: List.rev_append cell_lines !lines;
+                  if status = "fail" then begin
                     failed := id :: !failed;
                     if
                       List.exists
                         (fun (f : Scenario_run.cell) ->
                           f.Scenario_run.reason = Some "timeout")
-                        row.Scenario_run.failures
+                        failures
                     then timeouts := id :: !timeouts
                   end;
-                  if row.Scenario_run.status = "quarantine" then
-                    incr quarantined;
-                  total_cells := !total_cells + row.Scenario_run.cells;
+                  if status = "quarantine" then incr quarantined;
+                  total_cells := !total_cells + List.length results;
                   table :=
-                    (id, row.Scenario_run.status, row.Scenario_run.cells,
-                     row.Scenario_run.failed, false)
+                    (id, status, List.length results, List.length failures,
+                     false)
                     :: !table)
             scenarios);
       close_out journal;

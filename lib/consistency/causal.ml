@@ -82,15 +82,11 @@ let causal_prec (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
   done;
   !acc
 
-let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  Checker_util.exists_com h (fun com ->
-      let views, pairs =
-        Processor_consistency.build_views h info_of com
-          ~extra_prec:(causal_prec h info_of)
-      in
-      Views.solve_agreeing ~budget:bref views ~pairs)
+let search ?budget (h : History.t) =
+  Checker_util.search ?budget h (fun c ->
+      Processor_consistency.plan
+        ~extra:(causal_prec h c.info_of c.tids)
+        ~agree:true h c)
 
+let check ?budget h = fst (search ?budget h)
 let checker : Spec.checker = { Spec.name = "causal-serializability"; check }

@@ -11,18 +11,24 @@
 
 open Tm_trace
 
-let direct : Spec.checker list =
+(* each registry checker with its search, whose witness [explain] gives *)
+let registry :
+    (Spec.checker
+    * (?budget:int -> History.t -> Spec.verdict * Witness.t option))
+    list =
   [
-    Opacity.checker;
-    Strict_serializability.checker;
-    Serializability.checker;
-    Causal.checker;
-    Processor_consistency.checker;
-    Pram.checker;
-    Snapshot_isolation.checker;
-    Snapshot_isolation_ei.checker;
-    Weak_adaptive.checker;
+    (Opacity.checker, Opacity.search);
+    (Strict_serializability.checker, Strict_serializability.search);
+    (Serializability.checker, Serializability.search);
+    (Causal.checker, Causal.search);
+    (Processor_consistency.checker, Processor_consistency.search);
+    (Pram.checker, Pram.search);
+    (Snapshot_isolation.checker, Snapshot_isolation.search);
+    (Snapshot_isolation_ei.checker, Snapshot_isolation_ei.search);
+    (Weak_adaptive.checker, fun ?budget h -> Weak_adaptive.search ?budget h);
   ]
+
+let direct = List.map fst registry
 
 let capacity = 256
 
@@ -101,17 +107,10 @@ let satisfied ?budget (h : History.t) : string list =
     (fun (name, v) -> if Spec.sat v then Some name else None)
     (matrix ?budget h)
 
-(** The checkers that can produce a witness, for [--explain]-style
-    tooling. *)
-let explainers :
-    (string * (?budget:int -> History.t -> Witness.t option)) list =
-  [
-    ("serializability", Serializability.explain);
-    ("snapshot-isolation", Snapshot_isolation.explain);
-    ("processor-consistency", Processor_consistency.explain);
-    ("pram", Pram.explain);
-    ("weak-adaptive", Weak_adaptive.explain);
-  ]
-
+(** The witness serialization of a registry checker, when it answers Sat. *)
 let explain name ?budget h =
-  Option.bind (List.assoc_opt name explainers) (fun f -> f ?budget h)
+  match
+    List.find_opt (fun ((c : Spec.checker), _) -> c.Spec.name = name) registry
+  with
+  | Some (_, search) -> snd (search ?budget h)
+  | None -> None

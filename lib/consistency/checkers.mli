@@ -29,7 +29,6 @@ val matrix : ?budget:int -> History.t -> (string * Spec.verdict) list
 val satisfied : ?budget:int -> History.t -> string list
 (** Names of the checkers a history satisfies. *)
 
-val explainers :
-  (string * (?budget:int -> History.t -> Witness.t option)) list
-
 val explain : string -> ?budget:int -> History.t -> Witness.t option
+(** The witness serialization the named registry checker found, when it
+    answers Sat; [None] otherwise. *)

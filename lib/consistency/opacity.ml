@@ -17,39 +17,14 @@
 open Tm_base
 open Tm_trace
 
-let check_final ?(budget = Spec.default_budget) (h : History.t) :
-    Spec.verdict =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  Checker_util.exists_com h (fun com ->
+let search ?budget (h : History.t) =
+  Checker_util.search ?budget h (fun c ->
       let tids = History.txns h in
-      let lo, hi = Checker_util.unbounded h in
-      let points =
-        Array.of_list
-          (List.map
-             (fun tid ->
-               let block =
-                 if Tid.Set.mem tid com then Blocks.Whole tid
-                 else Blocks.Whole_ghost tid
-               in
-               { Placement.block; lo; hi })
-             tids)
+      let block t =
+        if Tid.Set.mem t c.com then Blocks.Whole t else Blocks.Whole_ghost t
       in
-      let index_of =
-        let t = Hashtbl.create 16 in
-        List.iteri (fun i x -> Hashtbl.replace t x i) tids;
-        fun x -> Hashtbl.find_opt t x
-      in
-      let prec = Checker_util.realtime_prec h tids index_of in
-      Placement.satisfiable ~budget:bref
-        {
-          Placement.points;
-          prec;
-          focus = (fun _ -> true);
-          info_of;
-          initial = (fun _ -> Value.initial);
-        })
+      let points, index_of = Checker_util.whole_points ~block h tids in
+      Checker_util.shared points (Checker_util.realtime_prec h tids index_of))
 
 (** Event prefixes that do not split an invocation from its response. *)
 let prefixes (h : History.t) : History.t Seq.t =
@@ -82,14 +57,14 @@ let prefixes (h : History.t) : History.t Seq.t =
 
 let check ?(budget = Spec.default_budget) ?(all_prefixes = false)
     (h : History.t) : Spec.verdict =
-  if not all_prefixes then check_final ~budget h
+  if not all_prefixes then fst (search ~budget h)
   else
     let hit = ref false in
     let bad = ref false in
     Seq.iter
       (fun p ->
         if not !bad then
-          match check_final ~budget p with
+          match fst (search ~budget p) with
           | Spec.Sat -> ()
           | Spec.Unsat -> bad := true
           | Spec.Out_of_budget -> hit := true)

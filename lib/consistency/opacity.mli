@@ -11,6 +11,9 @@
 
 open Tm_trace
 
+val search : ?budget:int -> History.t -> Spec.verdict * Witness.t option
+(** The verdict and, on [Sat], the witness ({!Checker_util.search}). *)
+
 val check : ?budget:int -> ?all_prefixes:bool -> History.t -> Spec.verdict
 val prefixes : History.t -> History.t Seq.t
 val checker : Spec.checker

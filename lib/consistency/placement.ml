@@ -89,18 +89,15 @@ let solve ~(budget : int ref) (p : problem) ~(on_solution : int list -> bool)
   | exception Stop -> Stopped
   | exception Out_of_budget -> Budget_exceeded
 
-(** First solution, if any. *)
-let first_solution ~budget (p : problem) : int list option * outcome =
+(** The first order found: [Sat] with it, or [Unsat] when the search
+    space is exhausted, or [Out_of_budget]. *)
+let first_solution ~budget (p : problem) : Spec.verdict * int list option =
   let found = ref None in
-  let outcome =
+  match
     solve ~budget p ~on_solution:(fun order ->
         found := Some order;
         true)
-  in
-  (!found, outcome)
-
-let satisfiable ~budget (p : problem) : Spec.verdict =
-  match first_solution ~budget p with
-  | Some _, _ -> Spec.Sat
-  | None, Exhausted -> Spec.Unsat
-  | None, (Budget_exceeded | Stopped) -> Spec.Out_of_budget
+  with
+  | Stopped -> (Spec.Sat, !found)
+  | Exhausted -> (Spec.Unsat, None)
+  | Budget_exceeded -> (Spec.Out_of_budget, None)

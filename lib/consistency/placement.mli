@@ -33,5 +33,7 @@ val solve :
     [on_solution]; returning [true] stops the search.  [budget] is a
     shared node counter decremented at every search node. *)
 
-val first_solution : budget:int ref -> problem -> int list option * outcome
-val satisfiable : budget:int ref -> problem -> Spec.verdict
+val first_solution :
+  budget:int ref -> problem -> Spec.verdict * int list option
+(** The first order {!solve} finds: [Sat] with that order, or [Unsat] once
+    the search space is exhausted, or [Out_of_budget]. *)

@@ -3,22 +3,8 @@
    that writes to the same data item appear in the same order in all
    sequential views (condition 1b dropped). *)
 
-open Tm_trace
+let search ?budget h =
+  Checker_util.search ?budget h (Processor_consistency.plan ~agree:false h)
 
-let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  Checker_util.exists_com h (fun com ->
-      let views, _pairs =
-        Processor_consistency.build_views h info_of com
-          ~extra_prec:(fun _ _ -> [])
-      in
-      (* no agreement pairs: each view independent *)
-      Views.solve_agreeing ~budget:bref views ~pairs:[])
-
+let check ?budget h = fst (search ?budget h)
 let checker : Spec.checker = { Spec.name = "pram"; check }
-
-(** The per-process witness views (no write-order agreement). *)
-let explain ?budget h =
-  Processor_consistency.explain_views ?budget ~with_pairs:false h

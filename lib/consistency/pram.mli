@@ -4,7 +4,8 @@
 
 open Tm_trace
 
+val search : ?budget:int -> History.t -> Spec.verdict * Witness.t option
+(** The verdict and, on [Sat], the witness ({!Checker_util.search}). *)
+
 val check : ?budget:int -> History.t -> Spec.verdict
 val checker : Spec.checker
-
-val explain : ?budget:int -> History.t -> Witness.t option

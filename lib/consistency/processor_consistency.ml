@@ -5,111 +5,34 @@
    every transaction executed by p_i is legal in the history induced by
    sigma_i. *)
 
-open Tm_base
 open Tm_trace
 
-(** Build the per-process views for PC-style checkers.  [pairs_on] turns
-    write-order agreement on/off (PRAM = off). *)
-let build_views (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
-    (com : Tid.Set.t) ~(extra_prec : Tid.t list -> (Tid.t -> int option) -> (int * int) list) :
-    Views.view list * (Tid.t * Tid.t) list =
-  let tids = Tid.Set.elements com in
-  let lo, hi = Checker_util.unbounded h in
-  let index_of =
-    let tbl = Hashtbl.create 16 in
-    List.iteri (fun i t -> Hashtbl.replace tbl t i) tids;
-    fun t -> Hashtbl.find_opt tbl t
+(** The Def. 3.2 plan for a candidate: whole transactions in per-process
+    views keeping same-process order, plus the [extra] precedence pairs;
+    with [agree], writes to a common item ordered alike in every view. *)
+let plan ?(extra = fun _ -> []) ~agree (h : History.t)
+    (c : Checker_util.candidate) =
+  let points, index_of = Checker_util.whole_points h c.tids in
+  let w_point t =
+    if (c.info_of t).Blocks.writes <> [] then index_of t else None
   in
-  let points =
-    Array.of_list
-      (List.map (fun tid -> { Placement.block = Blocks.Whole tid; lo; hi }) tids)
-  in
-  let base_prec =
-    Checker_util.program_order_prec h info_of tids index_of
-    @ extra_prec tids index_of
-  in
-  let pids = Checker_util.view_pids info_of tids in
-  let views =
-    List.map
-      (fun pid ->
-        {
-          Views.view_pid = pid;
-          problem =
-            {
-              Placement.points;
-              prec = base_prec;
-              focus =
-                (fun t ->
-                  Tid.Set.mem t com && (info_of t).Blocks.pid = pid);
-              info_of;
-              initial = (fun _ -> Value.initial);
-            };
-          w_point =
-            (fun t ->
-              if (info_of t).Blocks.writes <> [] then index_of t else None);
-        })
-      pids
-  in
-  let pairs = Views.common_writer_pairs info_of tids in
-  (views, pairs)
+  Seq.return
+    {
+      Checker_util.points;
+      prec =
+        Checker_util.program_order_prec h c.info_of c.tids index_of
+        @ extra index_of;
+      views =
+        Per_process
+          {
+            w_point;
+            pairs =
+              (if agree then Views.common_writer_pairs c.info_of c.tids
+               else []);
+          };
+      groups = None;
+    }
 
-let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  Checker_util.exists_com h (fun com ->
-      let views, pairs =
-        build_views h info_of com ~extra_prec:(fun _ _ -> [])
-      in
-      Views.solve_agreeing ~budget:bref views ~pairs)
-
+let search ?budget h = Checker_util.search ?budget h (plan ~agree:true h)
+let check ?budget h = fst (search ?budget h)
 let checker : Spec.checker = { Spec.name = "processor-consistency"; check }
-
-(** The per-process witness views, when they exist ([pairs] off gives the
-    PRAM witness). *)
-let explain_views ?(budget = Spec.default_budget) ~(with_pairs : bool)
-    (h : History.t) : Witness.t option =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  let found = ref None in
-  Seq.iter
-    (fun com ->
-      if !found = None then begin
-        let views, pairs =
-          build_views h info_of com ~extra_prec:(fun _ _ -> [])
-        in
-        let wref = ref [] in
-        match
-          Views.solve_agreeing ~witness:wref ~budget:bref views
-            ~pairs:(if with_pairs then pairs else [])
-        with
-        | Spec.Sat ->
-            found :=
-              Some
-                {
-                  Witness.com = Tid.Set.elements com;
-                  views =
-                    List.map
-                      (fun (pid, order) ->
-                        let v =
-                          List.find (fun v -> v.Views.view_pid = pid) views
-                        in
-                        {
-                          Witness.view_pid = Some pid;
-                          order =
-                            List.map
-                              (fun i ->
-                                v.Views.problem.Placement.points.(i)
-                                  .Placement.block)
-                              order;
-                        })
-                      !wref;
-                  groups = None;
-                }
-        | Spec.Unsat | Spec.Out_of_budget -> ()
-      end)
-    (Spec.com_candidates h);
-  !found
-
-let explain ?budget h = explain_views ?budget ~with_pairs:true h

@@ -8,20 +8,20 @@
 open Tm_base
 open Tm_trace
 
+val search : ?budget:int -> History.t -> Spec.verdict * Witness.t option
+(** The verdict and, on [Sat], the witness ({!Checker_util.search}). *)
+
 val check : ?budget:int -> History.t -> Spec.verdict
 val checker : Spec.checker
 
-val build_views :
+val plan :
+  ?extra:((Tid.t -> int option) -> (int * int) list) ->
+  agree:bool ->
   History.t ->
-  (Tid.t -> Blocks.txn_info) ->
-  Tid.Set.t ->
-  extra_prec:(Tid.t list -> (Tid.t -> int option) -> (int * int) list) ->
-  Views.view list * (Tid.t * Tid.t) list
-(** The per-process view structure, shared with the PRAM and causal
-    checkers ([extra_prec] adds per-view precedence constraints). *)
-
-val explain_views :
-  ?budget:int -> with_pairs:bool -> History.t -> Witness.t option
-
-val explain : ?budget:int -> History.t -> Witness.t option
-(** The per-process witness views, when they exist. *)
+  Checker_util.candidate ->
+  Checker_util.plan Seq.t
+(** The Def. 3.2 plan for a candidate, shared with the PRAM and causal
+    checkers: whole transactions in per-process views keeping
+    same-process order, plus the [extra] precedence pairs (given each
+    transaction's point index); with [agree], writes to a common item are
+    ordered alike in every view (condition 1b). *)

@@ -9,82 +9,13 @@
    respect real-time order across processes — that is strict
    serializability. *)
 
-open Tm_base
 open Tm_trace
 
-let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  Checker_util.exists_com h (fun com ->
-      let tids = Tid.Set.elements com in
-      let lo, hi = Checker_util.unbounded h in
-      let points =
-        Array.of_list
-          (List.map
-             (fun tid -> { Placement.block = Blocks.Whole tid; lo; hi })
-             tids)
-      in
-      let index_of =
-        let t = Hashtbl.create 16 in
-        List.iteri (fun i x -> Hashtbl.replace t x i) tids;
-        fun x -> Hashtbl.find_opt t x
-      in
-      let prec = Checker_util.program_order_prec h info_of tids index_of in
-      Placement.satisfiable ~budget:bref
-        {
-          Placement.points;
-          prec;
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of;
-          initial = (fun _ -> Value.initial);
-        })
+let search ?budget (h : History.t) =
+  Checker_util.search ?budget h (fun c ->
+      let points, index_of = Checker_util.whole_points h c.tids in
+      Checker_util.shared points
+        (Checker_util.program_order_prec h c.info_of c.tids index_of))
 
+let check ?budget h = fst (search ?budget h)
 let checker : Spec.checker = { Spec.name = "serializability"; check }
-
-(** The witness serialization, when one exists. *)
-let explain ?(budget = Spec.default_budget) (h : History.t) :
-    Witness.t option =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  let found = ref None in
-  Seq.iter
-    (fun com ->
-      if !found = None then begin
-        let tids = Tid.Set.elements com in
-        let lo, hi = Checker_util.unbounded h in
-        let points =
-          Array.of_list
-            (List.map
-               (fun tid -> { Placement.block = Blocks.Whole tid; lo; hi })
-               tids)
-        in
-        let index_of =
-          let t = Hashtbl.create 16 in
-          List.iteri (fun i x -> Hashtbl.replace t x i) tids;
-          fun x -> Hashtbl.find_opt t x
-        in
-        let prec = Checker_util.program_order_prec h info_of tids index_of in
-        match
-          Placement.first_solution ~budget:bref
-            { Placement.points; prec;
-              focus = (fun t -> Tid.Set.mem t com);
-              info_of; initial = (fun _ -> Value.initial) }
-        with
-        | Some order, _ ->
-            found :=
-              Some
-                {
-                  Witness.com = tids;
-                  views =
-                    [ { Witness.view_pid = None;
-                        order =
-                          List.map (fun i -> points.(i).Placement.block) order
-                      } ];
-                  groups = None;
-                }
-        | None, _ -> ()
-      end)
-    (Spec.com_candidates h);
-  !found

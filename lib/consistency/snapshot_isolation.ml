@@ -7,102 +7,17 @@
    and any constraint on reads after writes to the same item (local reads).
 *)
 
-open Tm_base
 open Tm_trace
 
-type plan = {
-  points : Placement.point array;
-  prec : (int * int) list;
-  w_point : Tid.t -> int option;
-}
-
-(** Build the SI points for [tids]: a [Greads] point and a [Wblock] point
-    per transaction (omitting empty blocks), windows equal to the active
-    execution interval, read point before write point.  Shared with the
-    weak-adaptive-consistency checker for its SI groups. *)
-let si_points (info_of : Tid.t -> Blocks.txn_info) (tids : Tid.t list) : plan
-    =
-  let points = ref [] and prec = ref [] and n = ref 0 in
-  let w_tbl = Hashtbl.create 16 in
-  let add block window =
-    let lo, hi = window in
-    points := { Placement.block; lo; hi } :: !points;
-    incr n;
-    !n - 1
-  in
-  List.iter
-    (fun tid ->
-      let i = info_of tid in
-      let window = Checker_util.active_window i in
-      let gr =
-        if i.Blocks.greads <> [] then Some (add (Blocks.Greads tid) window)
-        else None
+let search ?budget (h : History.t) =
+  Checker_util.search ?budget h (fun c ->
+      let points, prec, _ =
+        Checker_util.gr_w_points c.info_of
+          (List.map
+             (fun t -> (t, `Split, Checker_util.active_window (c.info_of t)))
+             c.tids)
       in
-      let w =
-        if i.Blocks.writes <> [] then Some (add (Blocks.Wblock tid) window)
-        else None
-      in
-      Option.iter (fun wi -> Hashtbl.replace w_tbl tid wi) w;
-      match (gr, w) with
-      | Some g, Some wi -> prec := (g, wi) :: !prec
-      | _ -> ())
-    tids;
-  {
-    points = Array.of_list (List.rev !points);
-    prec = !prec;
-    w_point = (fun t -> Hashtbl.find_opt w_tbl t);
-  }
+      Checker_util.shared points prec)
 
-let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  Checker_util.exists_com h (fun com ->
-      let tids = Tid.Set.elements com in
-      let plan = si_points info_of tids in
-      Placement.satisfiable ~budget:bref
-        {
-          Placement.points = plan.points;
-          prec = plan.prec;
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of;
-          initial = (fun _ -> Value.initial);
-        })
-
+let check ?budget h = fst (search ?budget h)
 let checker : Spec.checker = { Spec.name = "snapshot-isolation"; check }
-
-(** The witness placement (read and write points), when one exists. *)
-let explain ?(budget = Spec.default_budget) (h : History.t) :
-    Witness.t option =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  let found = ref None in
-  Seq.iter
-    (fun com ->
-      if !found = None then begin
-        let tids = Tid.Set.elements com in
-        let plan = si_points info_of tids in
-        match
-          Placement.first_solution ~budget:bref
-            { Placement.points = plan.points; prec = plan.prec;
-              focus = (fun t -> Tid.Set.mem t com);
-              info_of; initial = (fun _ -> Value.initial) }
-        with
-        | Some order, _ ->
-            found :=
-              Some
-                {
-                  Witness.com = tids;
-                  views =
-                    [ { Witness.view_pid = None;
-                        order =
-                          List.map
-                            (fun i -> plan.points.(i).Placement.block)
-                            order } ];
-                  groups = None;
-                }
-        | None, _ -> ()
-      end)
-    (Spec.com_candidates h);
-  !found

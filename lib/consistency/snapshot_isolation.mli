@@ -6,19 +6,11 @@
     first-committer-wins rule, and any constraint on reads following a
     write to the same item. *)
 
-open Tm_base
 open Tm_trace
+
+val search : ?budget:int -> History.t -> Spec.verdict * Witness.t option
+(** The verdict and, on [Sat], the witness ({!Checker_util.search}). *)
 
 val check : ?budget:int -> History.t -> Spec.verdict
 val checker : Spec.checker
 
-(** {1 Shared with the weak-adaptive checker} *)
-
-type plan = {
-  points : Placement.point array;
-  prec : (int * int) list;
-  w_point : Tid.t -> int option;
-}
-
-val explain : ?budget:int -> History.t -> Witness.t option
-(** The witness placement (read and write points), when one exists. *)

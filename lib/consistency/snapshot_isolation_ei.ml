@@ -15,7 +15,6 @@
    than Def. 3.1 (every active-interval placement is an execution-interval
    placement) and comparable with the interval-based conditions. *)
 
-open Tm_base
 open Tm_trace
 
 let ei_window (h : History.t) (i : Blocks.txn_info) =
@@ -25,48 +24,15 @@ let ei_window (h : History.t) (i : Blocks.txn_info) =
   then (i.Blocks.first_pos + 1, History.length h)
   else Checker_util.active_window i
 
-let plan (h : History.t) (info_of : Tid.t -> Blocks.txn_info)
-    (tids : Tid.t list) =
-  let points = ref [] and prec = ref [] and n = ref 0 in
-  let add block window =
-    let lo, hi = window in
-    points := { Placement.block; lo; hi } :: !points;
-    incr n;
-    !n - 1
-  in
-  List.iter
-    (fun tid ->
-      let i = info_of tid in
-      let window = ei_window h i in
-      let gr =
-        if i.Blocks.greads <> [] then Some (add (Blocks.Greads tid) window)
-        else None
+let search ?budget (h : History.t) =
+  Checker_util.search ?budget h (fun c ->
+      let points, prec, _ =
+        Checker_util.gr_w_points c.info_of
+          (List.map (fun t -> (t, `Split, ei_window h (c.info_of t))) c.tids)
       in
-      let w =
-        if i.Blocks.writes <> [] then Some (add (Blocks.Wblock tid) window)
-        else None
-      in
-      match (gr, w) with
-      | Some g, Some wi -> prec := (g, wi) :: !prec
-      | _ -> ())
-    tids;
-  (Array.of_list (List.rev !points), !prec)
+      Checker_util.shared points prec)
 
-let check ?(budget = Spec.default_budget) (h : History.t) : Spec.verdict =
-  let tbl = Blocks.table h in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  Checker_util.exists_com h (fun com ->
-      let tids = Tid.Set.elements com in
-      let points, prec = plan h info_of tids in
-      Placement.satisfiable ~budget:bref
-        {
-          Placement.points;
-          prec;
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of;
-          initial = (fun _ -> Value.initial);
-        })
+let check ?budget h = fst (search ?budget h)
 
 let checker : Spec.checker =
   { Spec.name = "snapshot-isolation(ei)"; check }

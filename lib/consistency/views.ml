@@ -49,26 +49,21 @@ let constraints_of_signature (v : view) (sg : bool Pair_map.t) :
     sg []
 
 (** Is there a choice of one placement per view such that all views agree
-    on the direction of every pair in [pairs]?  When satisfiable and
-    [witness] is given, it receives each view's chosen order (point
-    indices) keyed by view pid. *)
-let solve_agreeing ?(witness : (int * int list) list ref option)
-    ~(budget : int ref) (views : view list)
-    ~(pairs : (Tid.t * Tid.t) list) : Spec.verdict =
-  let rec go views (committed_sig : bool Pair_map.t) acc : Spec.verdict =
+    on the direction of every pair in [pairs]?  On [Sat], also each view's
+    chosen order (point indices) keyed by view pid. *)
+let solve_agreeing ~(budget : int ref) (views : view list)
+    ~(pairs : (Tid.t * Tid.t) list) :
+    Spec.verdict * (int * int list) list option =
+  let rec go views (committed_sig : bool Pair_map.t) acc =
     match views with
-    | [] ->
-        (match witness with
-        | Some r -> r := List.rev acc
-        | None -> ());
-        Spec.Sat
+    | [] -> (Spec.Sat, Some (List.rev acc))
     | v :: rest -> (
         let extra = constraints_of_signature v committed_sig in
         let problem =
           { v.problem with Placement.prec = v.problem.Placement.prec @ extra }
         in
         let seen = Hashtbl.create 16 in
-        let result = ref Spec.Unsat in
+        let result = ref (Spec.Unsat, None) in
         let outcome =
           Placement.solve ~budget problem ~on_solution:(fun order ->
               let sg = signature v pairs order in
@@ -81,19 +76,21 @@ let solve_agreeing ?(witness : (int * int list) list ref option)
                   Pair_map.union (fun _ dir _ -> Some dir) committed_sig sg
                 in
                 match go rest merged ((v.view_pid, order) :: acc) with
-                | Spec.Sat ->
-                    result := Spec.Sat;
+                | (Spec.Sat, _) as sat ->
+                    result := sat;
                     true
-                | Spec.Out_of_budget ->
-                    if !result = Spec.Unsat then result := Spec.Out_of_budget;
+                | Spec.Out_of_budget, _ ->
+                    if fst !result = Spec.Unsat then
+                      result := (Spec.Out_of_budget, None);
                     false
-                | Spec.Unsat -> false
+                | Spec.Unsat, _ -> false
               end)
         in
         match outcome with
         | Placement.Stopped | Placement.Exhausted -> !result
         | Placement.Budget_exceeded ->
-            if !result = Spec.Unsat then Spec.Out_of_budget else !result)
+            if fst !result = Spec.Unsat then (Spec.Out_of_budget, None)
+            else !result)
   in
   go views Pair_map.empty []
 

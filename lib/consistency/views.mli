@@ -18,14 +18,13 @@ type view = {
 }
 
 val solve_agreeing :
-  ?witness:(int * int list) list ref ->
   budget:int ref ->
   view list ->
   pairs:(Tid.t * Tid.t) list ->
-  Spec.verdict
+  Spec.verdict * (int * int list) list option
 (** Is there one placement per view such that all views agree on the
-    direction of every pair?  On Sat, [witness] (if given) receives each
-    view's chosen order of point indices, keyed by view pid. *)
+    direction of every pair?  On [Sat], also each view's chosen order of
+    point indices, keyed by view pid. *)
 
 val common_writer_pairs :
   (Tid.t -> Blocks.txn_info) -> Tid.t list -> (Tid.t * Tid.t) list

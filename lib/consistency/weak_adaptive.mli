@@ -22,17 +22,21 @@ val partitions :
 (** All consistency partitions P(alpha), lazily, with each group's active
     execution interval as its window. *)
 
-(** [com_filter] restricts the com(alpha) candidates considered — used to
+val search :
+  ?budget:int ->
+  ?com_filter:(Tid.Set.t -> bool) ->
+  History.t ->
+  Spec.verdict * Witness.t option
+(** The verdict and, on [Sat], the full witness — partition, group typing,
+    com(alpha) and per-process placements ({!Checker_util.search}).
+    [com_filter] restricts the com(alpha) candidates considered — used to
     mechanize the proof's delta lemmas ("T2 cannot be in com(delta2)"):
     if the check is Unsat with [com_filter = Tid.Set.mem t2], every
     satisfying choice excludes T2. *)
+
 val check :
   ?budget:int ->
   ?com_filter:(Tid.Set.t -> bool) ->
   History.t ->
   Spec.verdict
 val checker : Spec.checker
-
-val explain : ?budget:int -> History.t -> Witness.t option
-(** The full witness — partition, group typing, com(alpha) and per-process
-    placements — when one exists. *)

@@ -27,13 +27,16 @@ type row = {
   id : string;
   family : string;
   fault : string;
-  cells : int;
-  passed : int;
-  failed : int;
   quarantine : bool;
-  status : string;
-  failures : cell list;
+  results : cell list;
 }
+
+let failures r = List.filter (fun c -> c.reason <> None) r.results
+
+let status r =
+  if failures r = [] then "pass"
+  else if r.quarantine then "quarantine"
+  else "fail"
 
 let cells_of (s : Scenario.t) =
   let tms =
@@ -182,23 +185,12 @@ let run_row ?(tick = fun () -> ()) ~(inject : inject) ~seed
         c)
       cells
   in
-  let failures = List.filter (fun c -> c.reason <> None) results in
-  (* counts taken once, not re-derived per field *)
-  let n_cells = List.length results in
-  let n_failed = List.length failures in
   {
     id = s.Scenario.id;
     family = Scenario.family_to_string s.Scenario.family;
     fault = Fault.name s.Scenario.fault;
-    cells = n_cells;
-    passed = n_cells - n_failed;
-    failed = n_failed;
     quarantine = s.Scenario.quarantine;
-    status =
-      (if n_failed = 0 then "pass"
-       else if s.Scenario.quarantine then "quarantine"
-       else "fail");
-    failures;
+    results;
   }
 
 (* -- rendering and the resume journal ---------------------------------- *)
@@ -213,6 +205,8 @@ let failure_json (c : cell) =
     ]
 
 let row_json (r : row) : J.t =
+  let failures = failures r in
+  let n_cells = List.length r.results and n_failed = List.length failures in
   J.Obj
     [
       Tm_obs.Schema.field;
@@ -220,12 +214,12 @@ let row_json (r : row) : J.t =
       ("id", J.String r.id);
       ("family", J.String r.family);
       ("fault", J.String r.fault);
-      ("cells", J.Int r.cells);
-      ("passed", J.Int r.passed);
-      ("failed", J.Int r.failed);
+      ("cells", J.Int n_cells);
+      ("passed", J.Int (n_cells - n_failed));
+      ("failed", J.Int n_failed);
       ("quarantine", J.Bool r.quarantine);
-      ("status", J.String r.status);
-      ("failures", J.List (List.map failure_json r.failures));
+      ("status", J.String (status r));
+      ("failures", J.List (List.map failure_json failures));
     ]
 
 let cell_json ~id (c : cell) : J.t =

@@ -27,13 +27,15 @@ type row = {
   id : string;
   family : string;
   fault : string;
-  cells : int;
-  passed : int;
-  failed : int;
   quarantine : bool;
-  status : string;  (** [pass], [fail], or [quarantine] (known-bad) *)
-  failures : cell list;  (** the failing cells, in sweep order *)
+  results : cell list;  (** every cell, in sweep order *)
 }
+
+val failures : row -> cell list
+(** The failing cells, in sweep order. *)
+
+val status : row -> string
+(** [pass], [fail], or [quarantine] (known-bad). *)
 
 val cells_of : Scenario.t -> (Tm_intf.impl * Cm.policy) list
 (** The scenario's cell space: its [tms] x [cms] selections ([] = all). *)

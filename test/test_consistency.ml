@@ -113,8 +113,9 @@ let placement_tests =
         let budget = ref 10_000 in
         (* A in [5,6], B in [1,2], but precedence A before B: unsat *)
         check "unsat" true
-          (Placement.satisfiable ~budget
-             (mk_problem [ pt 5 6; pt 1 2 ] [ (0, 1) ])
+          (fst
+             (Placement.first_solution ~budget
+                (mk_problem [ pt 5 6; pt 1 2 ] [ (0, 1) ]))
           = Spec.Unsat));
     Alcotest.test_case "shared gap allows both orders" `Quick (fun () ->
         let budget = ref 10_000 in
@@ -134,14 +135,16 @@ let placement_tests =
     Alcotest.test_case "precedence cycle is unsat" `Quick (fun () ->
         let budget = ref 10_000 in
         check "unsat" true
-          (Placement.satisfiable ~budget
-             (mk_problem [ pt 0 9; pt 0 9 ] [ (0, 1); (1, 0) ])
+          (fst
+             (Placement.first_solution ~budget
+                (mk_problem [ pt 0 9; pt 0 9 ] [ (0, 1); (1, 0) ]))
           = Spec.Unsat));
     Alcotest.test_case "budget exhaustion is reported" `Quick (fun () ->
         let budget = ref 3 in
         check "out of budget" true
-          (Placement.satisfiable ~budget
-             (mk_problem [ pt 0 9; pt 0 9; pt 0 9; pt 0 9 ] [])
+          (fst
+             (Placement.first_solution ~budget
+                (mk_problem [ pt 0 9; pt 0 9; pt 0 9; pt 0 9 ] []))
           = Spec.Out_of_budget));
     Alcotest.test_case "legality prunes: torn gr block" `Quick (fun () ->
         (* writer installs x=1,y=1 at one point; reader's greads want
@@ -171,7 +174,8 @@ let placement_tests =
           }
         in
         let budget = ref 10_000 in
-        check "unsat" true (Placement.satisfiable ~budget problem = Spec.Unsat));
+        check "unsat" true
+          (fst (Placement.first_solution ~budget problem) = Spec.Unsat));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -530,38 +534,53 @@ let cache_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* witnesses: every Sat verdict must come with a replayable witness *)
+(* witnesses: for every registry checker, Sat iff [Checkers.explain] gives
+   a witness, and every witness replays legally — at the default budget
+   and at one small enough to run out on part of the catalogue *)
+
+let small_budget = 20
+
+let witness_law ?budget hh (c : Spec.checker) =
+  match (c.Spec.check ?budget hh, Checkers.explain c.Spec.name ?budget hh) with
+  | Spec.Sat, Some w -> Witness.valid hh w
+  | (Spec.Unsat | Spec.Out_of_budget), None -> true
+  | _ -> false
 
 let witness_tests =
-  let cases =
-    List.concat_map
-      (fun (a : Anomalies.anomaly) ->
-        List.filter_map
-          (fun (name, _) ->
-            if List.mem_assoc name Checkers.explainers then
-              Some (a, name)
-            else None)
-          a.Anomalies.expected)
-      Anomalies.catalogue
+  let on_catalogue ?budget (c : Spec.checker) (a : Anomalies.anomaly) () =
+    check "witness law" true (witness_law ?budget a.Anomalies.history c)
   in
-  List.map
-    (fun ((a : Anomalies.anomaly), name) ->
-      Alcotest.test_case
-        (Printf.sprintf "witness %s / %s" a.Anomalies.name name)
-        `Quick
-        (fun () ->
-          let c = Checkers.find_exn name in
-          let verdict = c.Spec.check a.Anomalies.history in
-          match (verdict, Checkers.explain name a.Anomalies.history) with
-          | Spec.Sat, Some w ->
-              check "witness validates" true
-                (Witness.valid a.Anomalies.history w)
-          | Spec.Sat, None -> Alcotest.fail "sat but no witness"
-          | Spec.Unsat, Some _ -> Alcotest.fail "unsat but witness produced"
-          | Spec.Unsat, None -> ()
-          | Spec.Out_of_budget, _ -> ()))
-    cases
-
+  List.concat_map
+    (fun (a : Anomalies.anomaly) ->
+      List.map
+        (fun (c : Spec.checker) ->
+          Alcotest.test_case
+            (Printf.sprintf "witness %s / %s" a.Anomalies.name c.Spec.name)
+            `Quick (on_catalogue c a))
+        Checkers.all)
+    Anomalies.catalogue
+  @ List.map
+      (fun (c : Spec.checker) ->
+        Alcotest.test_case
+          (Printf.sprintf "witness %s on the catalogue at budget %d"
+             c.Spec.name small_budget)
+          `Quick (fun () ->
+            List.iter
+              (fun a -> on_catalogue ~budget:small_budget c a ())
+              Anomalies.catalogue))
+      Checkers.all
+  @ List.map
+      (fun budget ->
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~count:100
+             ~name:
+               (Printf.sprintf "witness law on random histories at budget %s"
+                  (match budget with
+                  | None -> "default"
+                  | Some b -> string_of_int b))
+             (QCheck.make gen_history)
+             (fun hh -> List.for_all (witness_law ?budget hh) Checkers.all)))
+      [ None; Some small_budget ]
 
 (* ------------------------------------------------------------------ *)
 (* conflict serializability: the polynomial graph check *)
@@ -642,23 +661,17 @@ let si_ei_tests =
    inside active execution intervals" on finite histories *)
 
 let window_strict_ser ?(budget = 500_000) hh =
-  let tbl = Blocks.table hh in
-  let info_of tid = Hashtbl.find tbl tid in
-  let bref = ref budget in
-  Checker_util.exists_com hh (fun com ->
-      let tids = Tid.Set.elements com in
-      let points =
-        Array.of_list
-          (List.map
-             (fun tid ->
-               let lo, hi = Checker_util.active_window (info_of tid) in
-               { Placement.block = Blocks.Whole tid; lo; hi })
-             tids)
-      in
-      Placement.satisfiable ~budget:bref
-        { Placement.points; prec = [];
-          focus = (fun t -> Tid.Set.mem t com);
-          info_of; initial = (fun _ -> Value.initial) })
+  fst
+    (Checker_util.search ~budget hh (fun c ->
+         let points =
+           Array.of_list
+             (List.map
+                (fun tid ->
+                  let lo, hi = Checker_util.active_window (c.info_of tid) in
+                  { Placement.block = Blocks.Whole tid; lo; hi })
+                c.tids)
+         in
+         Checker_util.shared points []))
 
 let equivalence_tests =
   [
@@ -863,36 +876,38 @@ let rec permutations = function
           List.map (fun p -> x :: p) (permutations rest))
         l
 
-let brute_force_satisfiable (p : Placement.problem) : bool =
+(* a complete order of the points: a permutation that respects the
+   precedence pairs, is realizable in the windows, and replays legally *)
+let valid_order (p : Placement.problem) (order : int list) : bool =
   let n = Array.length p.Placement.points in
-  let idxs = List.init n (fun i -> i) in
-  List.exists
-    (fun order ->
-      let pos = Array.make n 0 in
+  List.sort compare order = List.init n (fun i -> i)
+  && (let pos = Array.make n 0 in
       List.iteri (fun i x -> pos.(x) <- i) order;
-      List.for_all (fun (a, b) -> pos.(a) < pos.(b)) p.Placement.prec
-      && (let ok = ref true and floor = ref 0 in
-          List.iter
-            (fun i ->
-              let pt = p.Placement.points.(i) in
-              floor := max !floor pt.Placement.lo;
-              if !floor > pt.Placement.hi then ok := false)
-            order;
-          !ok)
-      &&
-      let rec replay state = function
-        | [] -> true
-        | i :: rest -> (
-            match
-              Blocks.eval ~initial:p.Placement.initial
-                ~focus:p.Placement.focus p.Placement.info_of state
-                p.Placement.points.(i).Placement.block
-            with
-            | Some state' -> replay state' rest
-            | None -> false)
-      in
-      replay Item.Map.empty order)
-    (permutations idxs)
+      List.for_all (fun (a, b) -> pos.(a) < pos.(b)) p.Placement.prec)
+  && (let ok = ref true and floor = ref 0 in
+      List.iter
+        (fun i ->
+          let pt = p.Placement.points.(i) in
+          floor := max !floor pt.Placement.lo;
+          if !floor > pt.Placement.hi then ok := false)
+        order;
+      !ok)
+  &&
+  let rec replay state = function
+    | [] -> true
+    | i :: rest -> (
+        match
+          Blocks.eval ~initial:p.Placement.initial ~focus:p.Placement.focus
+            p.Placement.info_of state p.Placement.points.(i).Placement.block
+        with
+        | Some state' -> replay state' rest
+        | None -> false)
+  in
+  replay Item.Map.empty order
+
+let brute_force_satisfiable (p : Placement.problem) : bool =
+  List.exists (valid_order p)
+    (permutations (List.init (Array.length p.Placement.points) (fun i -> i)))
 
 (* random small placement problems over the dummy universe *)
 let gen_problem : Placement.problem QCheck.Gen.t =
@@ -949,14 +964,14 @@ let brute_force_tests =
          ~name:"optimized solver = brute force on small problems"
          (QCheck.make gen_problem)
          (fun p ->
-           let budget = ref 1_000_000 in
-           let fast =
-             match Placement.satisfiable ~budget p with
-             | Spec.Sat -> true
-             | Spec.Unsat -> false
-             | Spec.Out_of_budget -> QCheck.assume_fail ()
-           in
-           fast = brute_force_satisfiable p));
+           (* Sat iff brute force finds an order, and the order returned
+              is itself a valid one *)
+           match Placement.first_solution ~budget:(ref 1_000_000) p with
+           | Spec.Sat, Some order ->
+               valid_order p order && brute_force_satisfiable p
+           | Spec.Unsat, None -> not (brute_force_satisfiable p)
+           | Spec.Out_of_budget, None -> QCheck.assume_fail ()
+           | _ -> false));
   ]
 
 let () =

@@ -77,7 +77,12 @@ let dap_property_tests =
   List.filter_map
     (fun impl ->
       let (module M : Tm_intf.S) = impl in
-      if List.mem M.name [ "tl-lock"; "pram-local"; "candidate"; "llsc-candidate" ]
+      if
+        List.mem M.name
+          [
+            "tl-lock"; "pram-local"; "candidate"; "llsc-candidate";
+            "lp-progressive";
+          ]
       then
         Some
           (Alcotest.test_case

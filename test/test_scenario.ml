@@ -251,17 +251,17 @@ let runner_tests =
     Alcotest.test_case "a healthy cell passes" `Quick (fun () ->
         let s = scenario ~verdict:"claim" ~stop:"completed" "ok" in
         let r = Scenario_run.run_row ~inject:Scenario_run.No_inject ~seed:1 s in
-        check_string "status" "pass" r.Scenario_run.status;
-        check_int "cells" 1 r.Scenario_run.cells;
-        check_int "failed" 0 r.Scenario_run.failed);
+        check_string "status" "pass" (Scenario_run.status r);
+        check_int "cells" 1 (List.length r.Scenario_run.results);
+        check_int "failed" 0 (List.length (Scenario_run.failures r)));
     Alcotest.test_case "an injected crash is contained and attributed"
       `Quick (fun () ->
         let s = scenario "crashy" in
         let r =
           Scenario_run.run_row ~inject:Scenario_run.Inject_crash ~seed:1 s
         in
-        check_string "status" "fail" r.Scenario_run.status;
-        match r.Scenario_run.failures with
+        check_string "status" "fail" (Scenario_run.status r);
+        match Scenario_run.failures r with
         | [ c ] ->
             check "reason crash" true (c.Scenario_run.reason = Some "crash")
         | l -> Alcotest.failf "expected 1 failure, got %d" (List.length l));
@@ -279,8 +279,8 @@ let runner_tests =
         let r =
           Scenario_run.run_row ~inject:Scenario_run.Inject_stall ~seed:1 s
         in
-        check_string "status" "fail" r.Scenario_run.status;
-        match r.Scenario_run.failures with
+        check_string "status" "fail" (Scenario_run.status r);
+        match Scenario_run.failures r with
         | [ c ] ->
             check "reason timeout" true
               (c.Scenario_run.reason = Some "timeout")
@@ -291,15 +291,16 @@ let runner_tests =
         let r =
           Scenario_run.run_row ~inject:Scenario_run.Inject_crash ~seed:1 s
         in
-        check_int "cells" 2 r.Scenario_run.cells;
-        check_int "one failure" 1 r.Scenario_run.failed;
-        check_int "one pass" 1 r.Scenario_run.passed);
+        check_int "cells" 2 (List.length r.Scenario_run.results);
+        let failed = List.length (Scenario_run.failures r) in
+        check_int "one failure" 1 failed;
+        check_int "one pass" 1 (List.length r.Scenario_run.results - failed));
     Alcotest.test_case "quarantine downgrades a failure" `Quick (fun () ->
         let s = scenario ~quarantine:true "known-bad" in
         let r =
           Scenario_run.run_row ~inject:Scenario_run.Inject_crash ~seed:1 s
         in
-        check_string "status" "quarantine" r.Scenario_run.status);
+        check_string "status" "quarantine" (Scenario_run.status r));
     Alcotest.test_case "an impossible commit floor fails with commits"
       `Quick (fun () ->
         (* tl-lock under a crash fault with every transaction required to
@@ -309,8 +310,8 @@ let runner_tests =
             "floor"
         in
         let r = Scenario_run.run_row ~inject:Scenario_run.No_inject ~seed:1 s in
-        check_string "status" "fail" r.Scenario_run.status;
-        match r.Scenario_run.failures with
+        check_string "status" "fail" (Scenario_run.status r);
+        match Scenario_run.failures r with
         | [ c ] ->
             check "reason commits" true
               (c.Scenario_run.reason = Some "commits")
